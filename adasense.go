@@ -142,7 +142,7 @@ type Pipeline = core.Pipeline
 
 // Engine is the real-time deployment loop: the application pushes raw
 // sensor batches and receives classification events plus configuration
-// switch requests. See System.NewEngine.
+// switch requests. Service.OpenSession wraps one per device.
 type Engine = core.Engine
 
 // Event is one Engine classification tick.
@@ -219,21 +219,8 @@ func CoinCellCR2032() Battery { return battery.CoinCellCR2032() }
 // SmallLiPo40 returns a 40 mAh wearable LiPo pack.
 func SmallLiPo40() Battery { return battery.SmallLiPo40() }
 
-// SimulationSpec and SimulationResult describe closed-loop runs.
-type (
-	SimulationSpec   = sim.Spec
-	SimulationResult = sim.Result
-)
-
-// Simulate runs the closed sensing/classification/control loop.
-//
-// Deprecated: build a Service with NewService and use Service.Run or
-// Service.RunMany, which fill in window/hop and hardware-model defaults
-// and reuse pooled pipelines. Simulate remains for callers that assemble
-// a full SimulationSpec by hand.
-func Simulate(spec SimulationSpec, seed uint64) (SimulationResult, error) {
-	return sim.Run(spec, rng.New(seed))
-}
+// SimulationResult describes one closed-loop run.
+type SimulationResult = sim.Result
 
 // System bundles a trained shared classifier with its feature layout.
 type System struct {
@@ -302,22 +289,6 @@ func (s *System) NewPipeline() (*Pipeline, error) {
 		return nil, err
 	}
 	return core.NewPipeline(s.Network, ext)
-}
-
-// NewEngine returns a real-time engine over the system's classifier and
-// the given controller, using the paper's 2 s window / 1 s hop. The
-// application must sample its sensor at Engine.Config and push raw batches
-// as they arrive.
-//
-// Deprecated: build a Service with NewService and mint sessions with
-// Service.OpenSession; a Session wraps the same engine loop with pooled
-// scratch buffers and service-wide defaults.
-func (s *System) NewEngine(ctl Controller) (*Engine, error) {
-	pipe, err := s.NewPipeline()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewEngine(pipe, ctl, 0, 0)
 }
 
 // Save and LoadSystem (the versioned model container) live in model.go.

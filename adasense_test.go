@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"adasense"
+	"adasense/internal/core"
 	"adasense/internal/rng"
 	"adasense/internal/sensor"
+	"adasense/internal/sim"
 )
 
 var (
@@ -95,11 +97,11 @@ func TestEndToEndSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := adasense.Simulate(adasense.SimulationSpec{
+	res, err := sim.Run(sim.Spec{
 		Motion:     adasense.NewMotion(sched, 11),
 		Controller: adasense.NewSPOTWithConfidence(8),
 		Classifier: pipe,
-	}, 13)
+	}, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,11 @@ func TestEndToEndSimulation(t *testing.T) {
 
 func TestEngineStreaming(t *testing.T) {
 	sys, _ := trainedSystem(t)
-	eng, err := sys.NewEngine(adasense.NewSPOT(5))
+	pipe, err := sys.NewPipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(pipe, adasense.NewSPOT(5), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,153 @@
+package main
+
+import (
+	"fmt"
+	"net/http"
+	"reflect"
+	"testing"
+
+	"adasense"
+	"adasense/internal/stream"
+)
+
+// doorEvent is one classification event in a door-neutral form: the
+// HTTP door names activities and configs, ADSP carries their codes.
+type doorEvent struct {
+	Activity      string
+	Confidence    float64
+	Config        string
+	ConfigChanged bool
+}
+
+// doorClient pushes batches for one device through one ingest door and
+// reports the events plus the directed config each push answered with.
+type doorClient interface {
+	config() adasense.Config
+	push(b *adasense.Batch) ([]doorEvent, adasense.Config, error)
+}
+
+type httpDoor struct {
+	t            *testing.T
+	base, device string
+	cfg          adasense.Config
+}
+
+func (d *httpDoor) config() adasense.Config { return d.cfg }
+
+func (d *httpDoor) push(b *adasense.Batch) ([]doorEvent, adasense.Config, error) {
+	var resp pushResponse
+	body := batchJSON{Config: b.Config.Name(), StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}
+	if st := do(d.t, http.MethodPost, d.base+"/v1/sessions/"+d.device+"/push", body, &resp); st != http.StatusOK {
+		return nil, adasense.Config{}, fmt.Errorf("http push = %d", st)
+	}
+	cfg, err := adasense.ParseConfig(resp.Config)
+	if err != nil {
+		return nil, adasense.Config{}, err
+	}
+	evs := make([]doorEvent, len(resp.Events))
+	for i, ev := range resp.Events {
+		evs[i] = doorEvent{ev.Activity, ev.Confidence, ev.Config, ev.ConfigChanged}
+	}
+	d.cfg = cfg
+	return evs, cfg, nil
+}
+
+type streamDoor struct{ c *stream.Client }
+
+func (d *streamDoor) config() adasense.Config { return d.c.Config() }
+
+func (d *streamDoor) push(b *adasense.Batch) ([]doorEvent, adasense.Config, error) {
+	ack, err := d.c.Push(b)
+	if err != nil {
+		return nil, adasense.Config{}, err
+	}
+	evs := make([]doorEvent, len(ack.Events))
+	for i, ev := range ack.Events {
+		evs[i] = doorEvent{adasense.Activity(ev.Activity).String(), ev.Confidence, ev.Config.Name(), ev.ConfigChanged}
+	}
+	return evs, ack.Config, nil
+}
+
+// TestDoorsAgree is the cross-door differential test: the same seeded
+// device trajectory pushed through HTTP/JSON, ADSP over raw TCP and
+// ADSP over WebSocket — each a fresh device on one gateway running the
+// adaptive SPOT controller — must produce identical events and an
+// identical directed config after every push. Each door samples its
+// next batch at the config it was last directed to, so one divergence
+// would also fork every batch after it.
+func TestDoorsAgree(t *testing.T) {
+	const pushes = 90
+	ts, _, tcp := newDoorServer(t, adasense.WithServiceOptions(
+		adasense.WithControllerFactory(func() adasense.Controller { return adasense.NewSPOTWithConfidence(10) })))
+
+	var opened sessionJSON
+	if st := do(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]string{"id": "diff-http"}, &opened); st != http.StatusCreated {
+		t.Fatalf("open = %d", st)
+	}
+	httpCfg, err := adasense.ParseConfig(opened.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doors := []struct {
+		name string
+		d    doorClient
+	}{
+		{"http", &httpDoor{t: t, base: ts.URL, device: "diff-http", cfg: httpCfg}},
+		{"adsp-tcp", &streamDoor{dialDoor(t, tcp, "diff-tcp")}},
+		{"adsp-ws", &streamDoor{dialDoor(t, ts.URL, "diff-ws")}},
+	}
+
+	sched, err := adasense.NewSchedule([]adasense.Segment{
+		{Activity: adasense.Sit, Duration: 25},
+		{Activity: adasense.Walk, Duration: 20},
+		{Activity: adasense.Stand, Duration: 25},
+		{Activity: adasense.Upstairs, Duration: 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type source struct {
+		m *adasense.Motion
+		s *adasense.Sampler
+	}
+	sources := make([]source, len(doors))
+	for i := range sources {
+		sources[i] = source{adasense.NewMotion(sched, 71), adasense.NewSampler(adasense.DefaultNoiseModel(), 72)}
+	}
+
+	for _, d := range doors[1:] {
+		if d.d.config() != httpCfg {
+			t.Fatalf("%s starts at %v, http at %v", d.name, d.d.config(), httpCfg)
+		}
+	}
+	switches := 0
+	for p := 0; p < pushes; p++ {
+		var wantEvs []doorEvent
+		var wantCfg adasense.Config
+		for i, d := range doors {
+			b := sources[i].s.Sample(sources[i].m, d.d.config(), float64(p), float64(p+1))
+			evs, cfg, err := d.d.push(b)
+			if err != nil {
+				t.Fatalf("push %d via %s: %v", p, d.name, err)
+			}
+			if i == 0 {
+				wantEvs, wantCfg = evs, cfg
+				for _, ev := range evs {
+					if ev.ConfigChanged {
+						switches++
+					}
+				}
+				continue
+			}
+			if !reflect.DeepEqual(evs, wantEvs) {
+				t.Fatalf("push %d: %s events %+v, http %+v", p, d.name, evs, wantEvs)
+			}
+			if cfg != wantCfg {
+				t.Fatalf("push %d: %s directed %v, http %v", p, d.name, cfg, wantCfg)
+			}
+		}
+	}
+	if switches == 0 {
+		t.Fatal("the trajectory never switched configs; the differential covers no adaptation")
+	}
+}

@@ -853,6 +853,32 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 	}
 }
 
+// TestStatePutFromOwnerIsRetryable pins the receiving side of a handoff
+// that outran the receiver's membership view: a state PUT for a device
+// this replica's ring still places on the sender is answered 503, which
+// the sender's delivery path retries, not 410, which it would not — and
+// it is not counted as a stale route.
+func TestStatePutFromOwnerIsRetryable(t *testing.T) {
+	a, b := newFederatedFleet(t, "")
+	id := deviceOwnedBy(t, a.cluster, "gw-b")
+	req, err := http.NewRequest(http.MethodPut, a.base+"/v1/session-state/"+id, bytes.NewReader(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(adasense.ReplicatedHeader, b.id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("state PUT from the device's owner = %d, want 503", resp.StatusCode)
+	}
+	if got := a.gw.Stats().StaleRoutes; got != 0 {
+		t.Fatalf("stale routes = %d, a lagging receiver is not a stale sender", got)
+	}
+}
+
 // mustWalkSchedule is the probes' steady walking schedule.
 func mustWalkSchedule(t *testing.T) *adasense.Schedule {
 	t.Helper()

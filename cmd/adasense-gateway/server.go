@@ -325,47 +325,12 @@ func (s *server) lookup(w http.ResponseWriter, r *http.Request) (*adasense.Gatew
 	return sess, true
 }
 
-// session is lookup plus federation adoption — the cold half of
-// rebalance handoff, used by the push path only. On a federated
-// gateway, a device this replica's ring assigns here but holds no
-// session for is adopted on the spot: either the departing owner's
-// state snapshot never arrived (old owner dead, container rejected,
-// stateful handoff disabled) or the device outran the transfer — and
-// the device's next pushed batch transparently re-creates the session
-// cold on the new owner. Only the push path adopts — it is the device's
-// actual workload, it spends the device's rate-limit tokens, and
-// restricting adoption to it keeps DELETE observable and keeps
-// read-only GETs from minting sessions. Devices owned elsewhere (and
-// any id on a standalone gateway) still answer 404.
+// session binds the path's device for the push path, adopting it on a
+// federated replica that owns it (see adopt); anything else answers 404.
 func (s *server) session(w http.ResponseWriter, r *http.Request) (*adasense.GatewaySession, bool) {
-	id := r.PathValue("id")
-	if sess, ok := s.gw.Lookup(id); ok {
-		return sess, true
-	}
-	if s.cluster == nil || !s.cluster.Owns(id) {
-		writeError(w, fmt.Errorf("%w: %q", adasense.ErrSessionNotFound, id))
-		return nil, false
-	}
-	sess, err := s.gw.AdoptSession(id)
-	if errors.Is(err, adasense.ErrSessionExists) {
-		// Concurrent adoption by another in-flight request: use its win.
-		if sess, ok := s.gw.Lookup(id); ok {
-			return sess, true
-		}
-		err = fmt.Errorf("%w: %q", adasense.ErrSessionNotFound, id)
-	}
+	sess, _, err := s.bind(r.PathValue("id"), s.adopt)
 	if err != nil {
 		writeError(w, err)
-		return nil, false
-	}
-	// Re-check ownership now that the registration is visible: a
-	// rebalance that landed mid-adoption may already have swept the
-	// registry, and this session must not outlive it on a replica that
-	// no longer owns the device. Closing and answering 404 sends the
-	// device back through the ring to its new owner.
-	if !s.cluster.Owns(id) {
-		sess.Close()
-		writeError(w, fmt.Errorf("%w: %q", adasense.ErrSessionNotFound, id))
 		return nil, false
 	}
 	return sess, true
@@ -393,31 +358,37 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("decoding open request: %w", err))
 		return
 	}
-	if s.cluster != nil && s.forwardedByPeer(r) {
+	forwarded := s.cluster != nil && s.forwardedByPeer(r)
+	if forwarded {
 		// Opens do not pass through the routed middleware, so the
 		// forwarding peer's model generation is observed here.
 		s.observePeerGen(r, r.Header.Get(adasense.ForwardedHeader))
 	}
+	// misplaced answers an open for a device the ring places on replica
+	// to: a direct open is forwarded there with the body re-attached; a
+	// forward means the sender routed on a stale ring, so it answers 410
+	// and the device retries through an up-to-date replica instead of
+	// bouncing a second hop.
+	misplaced := func(to adasense.Replica, why string) {
+		if !forwarded {
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+			r.ContentLength = int64(len(raw))
+			s.forward(w, r, to)
+			return
+		}
+		writeError(w, fmt.Errorf("%w: %q %s", adasense.ErrSessionClosed, req.ID, why))
+	}
 	// An empty id is invalid on every replica — fail locally instead of
 	// burning a forward on hash("")'s owner.
 	if s.cluster != nil && req.ID != "" {
-		if !s.forwardedByPeer(r) {
-			if to, local := s.cluster.Route(req.ID); !local {
-				r.Body = io.NopCloser(bytes.NewReader(raw))
-				r.ContentLength = int64(len(raw))
-				s.forward(w, r, to)
-				return
+		if to, local := s.cluster.Route(req.ID); !local {
+			// A stale forward is refused up front rather than minting a
+			// session only for the re-check below to tear it down (or,
+			// at capacity, answering a misleading 429).
+			if forwarded {
+				s.cluster.MarkStaleRoute()
 			}
-		} else if !s.cluster.Owns(req.ID) {
-			// A forward for a device this ring does not place here: the
-			// sender routed on a stale generation. Refuse up front — at
-			// 410 the device retries through an up-to-date replica —
-			// rather than minting a session only for the post-open
-			// re-check to tear it down (or, at capacity, answering a
-			// misleading 429).
-			s.cluster.MarkStaleRoute()
-			writeError(w, fmt.Errorf("%w: %q is not owned here (stale route)",
-				adasense.ErrSessionClosed, req.ID))
+			misplaced(to, "is not owned here (stale route)")
 			return
 		}
 	}
@@ -428,27 +399,9 @@ func (s *server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Re-check ownership now that the registration is visible: a
-	// rebalance landing mid-open may already have swept the registry,
-	// and the session must not linger on a replica that no longer owns
-	// the device (a ghost no later sweep would catch). Close it and
-	// hand the open straight to the new owner — or, if this request was
-	// itself a forward (the sender routed on a stale ring), answer 410
-	// so the device retries through an up-to-date replica instead of
-	// bouncing a second hop.
-	if s.cluster != nil {
-		if to, local := s.cluster.Route(req.ID); !local {
-			sess.Close()
-			if !s.forwardedByPeer(r) {
-				r.Body = io.NopCloser(bytes.NewReader(raw))
-				r.ContentLength = int64(len(raw))
-				s.forward(w, r, to)
-				return
-			}
-			writeError(w, fmt.Errorf("%w: %q rebalanced to %q during open",
-				adasense.ErrSessionClosed, req.ID, to.ID))
-			return
-		}
+	if to, moved := s.recheckOwner(sess, true); moved {
+		misplaced(to, "rebalanced to "+strconv.Quote(to.ID)+" during open")
+		return
 	}
 	writeJSON(w, http.StatusCreated, sessionJSON{ID: sess.ID(), Config: sess.Config().Name()})
 }
@@ -539,12 +492,42 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// swapReplicaJSON is one replica's outcome in a federated model push.
+// swapReplicaJSON is one replica's outcome in a federated model push or
+// rollout start.
 type swapReplicaJSON struct {
 	Replica  string `json:"replica"`
 	Attempts int    `json:"attempts"`
 	OK       bool   `json:"ok"`
 	Error    string `json:"error,omitempty"`
+}
+
+// replicaReport renders a replication fan-out's per-replica outcomes.
+func replicaReport(results []adasense.SwapResult) []swapReplicaJSON {
+	report := make([]swapReplicaJSON, len(results))
+	for i, res := range results {
+		report[i] = swapReplicaJSON{Replica: res.Replica, Attempts: res.Attempts, OK: res.Err == nil}
+		if res.Err != nil {
+			report[i].Error = res.Err.Error()
+		}
+	}
+	return report
+}
+
+// readUpload reads a model-sized upload body (what names it in errors),
+// answering 400 on a read failure and 413 past maxModelBytes; ok is
+// false when it has answered.
+func readUpload(w http.ResponseWriter, r *http.Request, what string) (raw []byte, ok bool) {
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxModelBytes+1))
+	if err != nil {
+		writeError(w, fmt.Errorf("reading %s: %w", what, err))
+		return nil, false
+	}
+	if len(raw) > maxModelBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorJSON{Error: fmt.Sprintf("%s exceeds %d bytes", what, maxModelBytes)})
+		return nil, false
+	}
+	return raw, true
 }
 
 // handleModel hot-swaps the serving model from an uploaded container
@@ -557,14 +540,8 @@ type swapReplicaJSON struct {
 // response. An upload fanned out by a peer (adasense.ReplicatedHeader)
 // applies locally only, so replication cannot echo.
 func (s *server) handleModel(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxModelBytes+1))
-	if err != nil {
-		writeError(w, fmt.Errorf("reading model upload: %w", err))
-		return
-	}
-	if len(raw) > maxModelBytes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorJSON{Error: fmt.Sprintf("model upload exceeds %d bytes", maxModelBytes)})
+	raw, ok := readUpload(w, r, "model upload")
+	if !ok {
 		return
 	}
 	if s.cluster != nil && !s.cluster.IsPeer(r.Header.Get(adasense.ReplicatedHeader)) {
@@ -576,16 +553,12 @@ func (s *server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// A peer's replication fan-out carries the origin's model
-	// generation: install at it (the local generation adopts
-	// max(local+1, origin)) so both sides order the model identically.
-	// An operator upload is a plain swap.
-	if peer := r.Header.Get(adasense.ReplicatedHeader); s.cluster != nil && s.cluster.IsPeer(peer) {
-		if gen, perr := strconv.ParseUint(r.Header.Get(adasense.ModelGenHeader), 10, 64); perr == nil {
-			err = s.gw.InstallModel(sys, gen)
-		} else {
-			err = s.gw.SwapModel(sys)
-		}
+	// A peer's replication fan-out (the only upload a federated gateway
+	// applies here) carries the origin's model generation: install at it
+	// (the local generation adopts max(local+1, origin)) so both sides
+	// order the model identically. An operator upload is a plain swap.
+	if gen, perr := strconv.ParseUint(r.Header.Get(adasense.ModelGenHeader), 10, 64); s.cluster != nil && perr == nil {
+		err = s.gw.InstallModel(sys, gen)
 	} else {
 		err = s.gw.SwapModel(sys)
 	}
@@ -613,10 +586,6 @@ func (s *server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// rolloutReplicaJSON is one replica's outcome of a rollout-start
-// fan-out.
-type rolloutReplicaJSON = swapReplicaJSON
-
 // handleRolloutStart begins a staged canary rollout from an uploaded
 // candidate container. On a federated gateway the start replicates to
 // every replica (each applies its own -rollout-* policy); a start
@@ -624,27 +593,12 @@ type rolloutReplicaJSON = swapReplicaJSON
 // echo. 409 while another rollout is active, 423 when the candidate
 // hash was frozen by an earlier health rollback.
 func (s *server) handleRolloutStart(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxModelBytes+1))
-	if err != nil {
-		writeError(w, fmt.Errorf("reading rollout candidate: %w", err))
+	raw, ok := readUpload(w, r, "rollout candidate")
+	if !ok {
 		return
 	}
-	if len(raw) > maxModelBytes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorJSON{Error: fmt.Sprintf("candidate exceeds %d bytes", maxModelBytes)})
-		return
-	}
-	if s.cluster != nil {
-		if peer := r.Header.Get(adasense.ReplicatedHeader); s.cluster.IsPeer(peer) {
-			s.observePeerGen(r, peer)
-			st, err := s.gw.StartRollout(raw, s.rolloutCfg)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			writeJSON(w, http.StatusCreated, st)
-			return
-		}
+	peer := r.Header.Get(adasense.ReplicatedHeader)
+	if s.cluster != nil && !s.cluster.IsPeer(peer) {
 		st, results, err := s.cluster.StartRollout(r.Context(), raw, s.rolloutCfg)
 		if results == nil {
 			writeError(w, err)
@@ -654,19 +608,13 @@ func (s *server) handleRolloutStart(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			status = http.StatusBadGateway
 		}
-		report := make([]rolloutReplicaJSON, len(results))
-		for i, res := range results {
-			report[i] = rolloutReplicaJSON{Replica: res.Replica, Attempts: res.Attempts, OK: res.Err == nil}
-			if res.Err != nil {
-				report[i].Error = res.Err.Error()
-			}
-		}
 		writeJSON(w, status, struct {
 			Rollout  adasense.RolloutStatus `json:"rollout"`
-			Replicas []rolloutReplicaJSON   `json:"replicas"`
-		}{st, report})
+			Replicas []swapReplicaJSON      `json:"replicas"`
+		}{st, replicaReport(results)})
 		return
 	}
+	s.observePeerGen(r, peer)
 	st, err := s.gw.StartRollout(raw, s.rolloutCfg)
 	if err != nil {
 		writeError(w, err)
@@ -763,10 +711,11 @@ func (s *server) handleStateGet(w http.ResponseWriter, r *http.Request) {
 // Replica-to-replica only, judged by IsHandoffPeer (the sender left the
 // ring in the very change that triggered the transfer, so the current
 // peer set alone would refuse every handoff), and only for a device
-// this replica's ring
-// owns (anything else is a stale route: the sender decided on an older
-// membership generation, and the device will be adopted by its real
-// owner instead). A rejected container — bad bytes (400), a live
+// this replica's ring owns. Anything else is a stale route: the sender
+// decided on an older membership generation, and the device will be
+// adopted by its real owner instead — unless this ring still names the
+// sender as owner, i.e. this replica lags the change, which answers a
+// retryable 503. A rejected container — bad bytes (400), a live
 // session already minted by the device's own traffic (409), a model-
 // generation mismatch (409) — needs no cleanup on the sender: the
 // device simply adopts cold here on its next push.
@@ -779,7 +728,17 @@ func (s *server) handleStatePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observePeerGen(r, peer)
 	id := r.PathValue("id")
-	if !s.cluster.Owns(id) {
+	if owner, local := s.cluster.Route(id); !local {
+		if owner.ID == peer {
+			// This ring still places the device on the sender, so the
+			// sender applied a membership change this replica has not
+			// polled yet. 503 is retried by the sender's delivery path,
+			// by which time this view has usually caught up; refusing
+			// outright would drop the state and force a cold adoption.
+			writeJSON(w, http.StatusServiceUnavailable,
+				errorJSON{Error: fmt.Sprintf("%q is still owned by %s here; membership catching up", id, peer)})
+			return
+		}
 		s.cluster.MarkStaleRoute()
 		writeError(w, fmt.Errorf("%w: %q is not owned here (stale route)",
 			adasense.ErrSessionClosed, id))
@@ -820,17 +779,10 @@ func (s *server) handleModelReplicated(w http.ResponseWriter, r *http.Request, r
 	if err != nil {
 		status = http.StatusBadGateway
 	}
-	report := make([]swapReplicaJSON, len(results))
-	for i, res := range results {
-		report[i] = swapReplicaJSON{Replica: res.Replica, Attempts: res.Attempts, OK: res.Err == nil}
-		if res.Err != nil {
-			report[i].Error = res.Err.Error()
-		}
-	}
 	writeJSON(w, status, struct {
 		ModelSwaps uint64            `json:"model_swaps"`
 		Replicas   []swapReplicaJSON `json:"replicas"`
-	}{s.gw.Stats().ModelSwaps, report})
+	}{s.gw.Stats().ModelSwaps, replicaReport(results)})
 }
 
 // handleMetrics serves the Prometheus text exposition. Everything comes

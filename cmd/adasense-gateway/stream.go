@@ -36,10 +36,12 @@ type streamServer struct {
 
 	// mu guards conns and closed: Shutdown says goodbye to every live
 	// connection exactly once, and connections arriving after shutdown
-	// are refused at the door.
+	// are refused at the door. live counts the session loops still
+	// running; Shutdown waits for it to drain.
 	mu     sync.Mutex
 	conns  map[*streamConn]struct{}
 	closed bool
+	live   sync.WaitGroup
 }
 
 // streamConn is one live ADSP connection's server-side state.
@@ -110,6 +112,7 @@ func (ss *streamServer) ServeConn(rwc io.ReadWriteCloser) {
 		return
 	}
 	ss.conns[c] = struct{}{}
+	ss.live.Add(1)
 	ss.mu.Unlock()
 	ss.tel.ConnOpened()
 	defer func() {
@@ -118,14 +121,16 @@ func (ss *streamServer) ServeConn(rwc io.ReadWriteCloser) {
 		ss.mu.Unlock()
 		ss.tel.ConnClosed()
 		rwc.Close()
+		ss.live.Done()
 	}()
 	ss.serve(c)
 }
 
 // Shutdown refuses new connections, says goodbye to every live one,
-// and drains the admission batcher. Called on the signal path before
-// Gateway.Drain so devices see a clean draining close instead of
-// pushes failing against closing sessions.
+// waits for their session loops to exit, and drains the admission
+// batcher. Called on the signal path before Gateway.Drain so devices
+// see a clean draining close instead of pushes failing against closing
+// sessions.
 func (ss *streamServer) Shutdown() {
 	ss.mu.Lock()
 	if ss.closed {
@@ -142,12 +147,15 @@ func (ss *streamServer) Shutdown() {
 		ss.writeGoodbye(c, stream.CodeDraining, "gateway draining")
 		c.rwc.Close() // unblocks the session loop's blocking read
 	}
+	// A loop mid-push finishes it through the still-running batcher,
+	// then fails its next read on the closed connection.
+	ss.live.Wait()
 	ss.batcher.Close()
 }
 
 // serve runs the handshake and session loop for one connection.
 func (ss *streamServer) serve(c *streamConn) {
-	gw, cluster := ss.s.gw, ss.s.cluster
+	gw := ss.s.gw
 	rd := stream.NewReader(c.rwc)
 
 	// Handshake: exactly one hello first.
@@ -190,52 +198,27 @@ func (ss *streamServer) serve(c *streamConn) {
 		return
 	}
 
-	// Bind the session: resume a live one, open (or adopt, on a
-	// federated gateway — same cold-handoff semantics as the HTTP push
-	// path) otherwise.
-	sess, ok := gw.Lookup(device)
-	resumed := ok
-	if !ok {
-		var err error
-		sess, err = gw.Open(device)
-		if errors.Is(err, adasense.ErrSessionExists) {
-			// Lost an open race (e.g. against the device's own HTTP
-			// traffic): use the winner.
-			sess, ok = gw.Lookup(device)
-			if !ok {
-				ss.writeGoodbye(c, stream.CodeInternal, "session lost mid-open")
-				return
-			}
-			resumed = true
-			err = nil
-		}
+	// Bind the session: resume a live one, open one otherwise. Unlike
+	// the HTTP push path the stream opens for a standalone gateway too.
+	sess, resumed, err := ss.s.bind(device, gw.Open)
+	if err != nil {
+		var moved *movedError
 		switch {
-		case err == nil:
+		case errors.As(err, &moved):
+			ss.redirect(c, moved.owner)
 		case errors.Is(err, adasense.ErrGatewayFull):
 			ss.writeGoodbye(c, stream.CodeCapacity, err.Error())
-			return
 		case errors.Is(err, adasense.ErrGatewayDraining):
 			ss.writeGoodbye(c, stream.CodeDraining, err.Error())
-			return
 		default:
 			ss.writeGoodbye(c, stream.CodeInternal, err.Error())
-			return
 		}
-	}
-	// Re-check ownership now the registration is visible, mirroring
-	// handleOpen: a rebalance landing mid-bind must not leave a ghost
-	// session here. A session this loop minted is closed; a resumed one
-	// belongs to the rebalance sweep.
-	if cluster != nil && !cluster.Owns(device) {
-		if !resumed {
-			sess.Close()
-		}
-		ss.redirectIfNotOwned(c, device)
 		return
 	}
 
 	lastCfg := sess.Config()
-	ss.writeWelcome(c, stream.Welcome{Config: lastCfg, ModelGen: gw.ModelGeneration(), Resumed: resumed})
+	writeFrame(ss, c, stream.FrameWelcome, stream.AppendWelcome,
+		stream.Welcome{Config: lastCfg, ModelGen: gw.ModelGeneration(), Resumed: resumed})
 
 	// Session loop state, all reused across pushes: the batch and batch
 	// wrapper decode in place, the ack encodes in place, and the push
@@ -306,15 +289,15 @@ func (ss *streamServer) serve(c *streamConn) {
 					ConfigChanged: ev.ConfigChanged,
 				}
 			}
-			ss.writeEvents(c, &ack)
+			writeFrame(ss, c, stream.FrameEvents, stream.AppendEvents, &ack)
 			lastCfg = cfg
 		case stream.FramePing:
-			ss.writePong(c, f.Payload)
+			writeFrame(ss, c, stream.FramePong, appendPong, f.Payload)
 			// Pings double as the config-push opportunity for idle
 			// devices: if the directed config drifted since the last
 			// frame the device saw, push the correction.
 			if cfg := sess.Config(); cfg != lastCfg {
-				ss.writeConfig(c, cfg)
+				writeFrame(ss, c, stream.FrameConfig, stream.AppendConfig, cfg)
 				lastCfg = cfg
 			}
 		case stream.FramePong:
@@ -335,7 +318,7 @@ func (ss *streamServer) serve(c *streamConn) {
 func (ss *streamServer) answerPushError(c *streamConn, sess *adasense.GatewaySession, device string, seq uint64, err error) bool {
 	switch {
 	case errors.Is(err, adasense.ErrRateLimited):
-		ss.writeError(c, stream.ErrorMsg{Seq: seq, Code: stream.CodeRateLimited, Config: sess.Config(), Msg: err.Error()})
+		writeFrame(ss, c, stream.FrameError, stream.AppendError, stream.ErrorMsg{Seq: seq, Code: stream.CodeRateLimited, Config: sess.Config(), Msg: err.Error()})
 		return true
 	case errors.Is(err, adasense.ErrSessionClosed), errors.Is(err, adasense.ErrSessionNotFound):
 		// Closed underneath the stream — usually a rebalance sweep. If
@@ -353,106 +336,54 @@ func (ss *streamServer) answerPushError(c *streamConn, sess *adasense.GatewaySes
 	default:
 		// Config mismatch and the like: refuse the batch, direct the
 		// config the device must resample at (self-healing).
-		ss.writeError(c, stream.ErrorMsg{Seq: seq, Code: stream.CodeBadBatch, Config: sess.Config(), Msg: err.Error()})
+		writeFrame(ss, c, stream.FrameError, stream.AppendError, stream.ErrorMsg{Seq: seq, Code: stream.CodeBadBatch, Config: sess.Config(), Msg: err.Error()})
 		return true
 	}
 }
 
 // redirectIfNotOwned reports whether the device belongs on this
-// replica. If not, it names the owner in a redirect frame and says
-// goodbye with CodeRedirect; the caller returns.
+// replica. If not, it redirects the device to its owner; the caller
+// returns.
 func (ss *streamServer) redirectIfNotOwned(c *streamConn, device string) bool {
-	cluster := ss.s.cluster
-	if cluster == nil {
+	if ss.s.cluster == nil {
 		return true
 	}
-	owner, local := cluster.Route(device)
-	if local {
-		return true
+	owner, local := ss.s.cluster.Route(device)
+	if !local {
+		ss.redirect(c, owner)
 	}
+	return local
+}
+
+// redirect names the device's owning replica in a redirect frame and
+// says goodbye with CodeRedirect.
+func (ss *streamServer) redirect(c *streamConn, owner adasense.Replica) {
 	ss.tel.RedirectSent()
-	ss.writeRedirect(c, stream.Redirect{ReplicaID: owner.ID, ReplicaURL: owner.URL})
+	writeFrame(ss, c, stream.FrameRedirect, stream.AppendRedirect,
+		stream.Redirect{ReplicaID: owner.ID, ReplicaURL: owner.URL})
 	ss.writeGoodbye(c, stream.CodeRedirect, "device is owned by "+owner.ID)
-	return false
 }
 
-// sendFrame seals and writes a frame whose payload was appended to
-// c.wbuf by the caller (between begin and here), under the write lock.
-func (c *streamConn) sendFrame() error {
-	buf := stream.EndFrame(c.wbuf, 0)
-	c.wbuf = buf
-	_, err := c.rwc.Write(buf)
-	return err
-}
-
-func (ss *streamServer) writeWelcome(c *streamConn, w stream.Welcome) {
+// writeFrame encodes one frame of type t, its payload appended by
+// appendPayload, into c's reused buffer and writes it under the write
+// lock. Callers pass the stream.AppendX function itself, never a
+// capturing closure, so the steady-state push stays allocation-free.
+func writeFrame[T any](ss *streamServer, c *streamConn, t stream.FrameType, appendPayload func([]byte, T) []byte, v T) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FrameWelcome)
-	c.wbuf = stream.AppendWelcome(c.wbuf, w)
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FrameWelcome))
+	c.wbuf = appendPayload(stream.BeginFrame(c.wbuf[:0], t), v)
+	c.wbuf = stream.EndFrame(c.wbuf, 0)
+	if _, err := c.rwc.Write(c.wbuf); err == nil {
+		ss.tel.FrameOut(uint8(t))
 	}
 }
 
-func (ss *streamServer) writeEvents(c *streamConn, m *stream.EventsMsg) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FrameEvents)
-	c.wbuf = stream.AppendEvents(c.wbuf, m)
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FrameEvents))
-	}
-}
+// appendPong echoes a ping's payload.
+func appendPong(dst, payload []byte) []byte { return append(dst, payload...) }
 
-func (ss *streamServer) writeConfig(c *streamConn, cfg adasense.Config) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FrameConfig)
-	c.wbuf = stream.AppendConfig(c.wbuf, cfg)
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FrameConfig))
-	}
-}
-
-func (ss *streamServer) writePong(c *streamConn, payload []byte) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FramePong)
-	c.wbuf = append(c.wbuf, payload...)
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FramePong))
-	}
-}
-
-func (ss *streamServer) writeError(c *streamConn, e stream.ErrorMsg) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FrameError)
-	c.wbuf = stream.AppendError(c.wbuf, e)
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FrameError))
-	}
-}
-
-func (ss *streamServer) writeRedirect(c *streamConn, r stream.Redirect) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FrameRedirect)
-	c.wbuf = stream.AppendRedirect(c.wbuf, r)
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FrameRedirect))
-	}
-}
-
+// writeGoodbye says goodbye with code and a human-readable reason.
 func (ss *streamServer) writeGoodbye(c *streamConn, code stream.CloseCode, msg string) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = stream.BeginFrame(c.wbuf[:0], stream.FrameGoodbye)
-	c.wbuf = stream.AppendGoodbye(c.wbuf, stream.Goodbye{Code: code, Msg: msg})
-	if c.sendFrame() == nil {
-		ss.tel.FrameOut(uint8(stream.FrameGoodbye))
-	}
+	writeFrame(ss, c, stream.FrameGoodbye, stream.AppendGoodbye, stream.Goodbye{Code: code, Msg: msg})
 }
 
 // writeMetrics appends the adasense_stream_* series to a /metrics

@@ -1,8 +1,7 @@
 // Command adasense-sim runs the closed sensing/classification/control
 // loop over a synthetic user and reports recognition accuracy, energy and
-// per-configuration dwell. It can load a model trained by adasense-train
-// (either the versioned container or the legacy raw-network format) or
-// train a quick one on the fly.
+// per-configuration dwell. It can load a model container trained by
+// adasense-train or train a quick one on the fly.
 //
 // Usage:
 //

@@ -6,10 +6,7 @@
 // Usage:
 //
 //	adasense-train -out model.bin [-windows 7300] [-hidden 32] [-epochs 60]
-//	               [-seed 1] [-legacy]
-//
-// -legacy writes the pre-container raw-network format for compatibility
-// testing with older readers.
+//	               [-seed 1]
 package main
 
 import (
@@ -26,16 +23,15 @@ func main() {
 	hidden := flag.Int("hidden", 32, "hidden layer width")
 	epochs := flag.Int("epochs", 60, "training epochs")
 	seed := flag.Uint64("seed", 1, "random seed")
-	legacy := flag.Bool("legacy", false, "write the legacy raw-network format instead of the container")
 	flag.Parse()
 
-	if err := run(*out, *windows, *hidden, *epochs, *seed, *legacy); err != nil {
+	if err := run(*out, *windows, *hidden, *epochs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "adasense-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, windows, hidden, epochs int, seed uint64, legacy bool) error {
+func run(out string, windows, hidden, epochs int, seed uint64) error {
 	fmt.Fprintf(os.Stderr, "training on %d windows across %d configurations...\n",
 		windows, len(adasense.ParetoStates()))
 	sys, acc, err := adasense.TrainSystem(adasense.TrainingConfig{
@@ -52,17 +48,10 @@ func run(out string, windows, hidden, epochs int, seed uint64, legacy bool) erro
 		return err
 	}
 	defer f.Close()
-	format := "versioned container"
-	if legacy {
-		format = "legacy raw network"
-		_, err = sys.Network.WriteTo(f)
-	} else {
-		err = sys.Save(f)
-	}
-	if err != nil {
+	if err := sys.Save(f); err != nil {
 		return err
 	}
-	fmt.Printf("model: %s (%s)\n", out, format)
+	fmt.Printf("model: %s (versioned container)\n", out)
 	fmt.Printf("held-out accuracy: %.2f%%\n", 100*acc)
 	fmt.Printf("classifier size:   %d bytes (float32)\n", sys.Network.WeightBytes(4))
 	return f.Close()

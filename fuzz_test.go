@@ -41,9 +41,9 @@ func FuzzLoadSystem(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-network
 	f.Add(valid[:11])                  // truncated mid-header
-	f.Add(valid[netOff:])              // legacy path: bare network stream
+	f.Add(valid[netOff:])              // bare network stream (rejected)
 	f.Add([]byte("ADSC"))              // magic only
-	f.Add([]byte("ADNN"))              // legacy magic only
+	f.Add([]byte("ADNN"))              // bare network magic only
 	f.Add([]byte("MZ\x90\x00"))        // wrong magic entirely
 	f.Add(bytes.Repeat([]byte{0}, 64)) // zeros
 	corrupt := append([]byte(nil), valid...)

@@ -413,9 +413,16 @@ func (gw *Gateway) Open(id string) (*GatewaySession, error) {
 	if err := gw.allow(id); err != nil {
 		return nil, err
 	}
-	// Register first, holding the session lock so a concurrent Lookup
-	// that wins the race blocks on Push/Config until the session is
-	// actually built (or sees it closed if the build failed).
+	return gw.register(id, "open", func(svc *Service) (*Session, error) { return svc.OpenSession(id) })
+}
+
+// register is the registration step Open and RestoreSession share: it
+// reserves id's registry slot before build makes the session on the
+// service serving id, holding the session lock so a concurrent Lookup
+// that wins the race blocks on Push/Config until the session is
+// actually built (or sees it closed if the build failed). On any
+// failure the slot is unwound. verb names the operation in errors.
+func (gw *Gateway) register(id, verb string, build func(*Service) (*Session, error)) (*GatewaySession, error) {
 	gs := &GatewaySession{id: id, gw: gw}
 	gs.mu.Lock()
 	if err := gw.reg.Put(id, gs); err != nil {
@@ -433,18 +440,19 @@ func (gw *Gateway) Open(id string) (*GatewaySession, error) {
 	// have swept an empty registry and returned, so tearing down here is
 	// the only way this open cannot outlive a completed drain. (A Drain
 	// starting after this load sees the registration and closes it.)
+	var sess *Session
+	var err error
 	if gw.draining.Load() {
-		gs.closed = true
-		gs.mu.Unlock()
-		gw.reg.CompareAndRemove(id, gs)
-		return nil, fmt.Errorf("%w: rejecting open %q", ErrGatewayDraining, id)
+		err = fmt.Errorf("%w: rejecting %s %q", ErrGatewayDraining, verb, id)
+	} else {
+		// Resolve the service rollout-aware: a device inside an active
+		// rollout's cohort pins to the canary. The registration above
+		// happens before this load, so a rollout transition racing the
+		// build either is already visible here or will find this session
+		// in its re-pin sweep (blocking on gs.mu until the build
+		// publishes).
+		sess, err = build(gw.serviceFor(id))
 	}
-	// Resolve the service rollout-aware: a device inside an active
-	// rollout's cohort pins to the canary. The registration above
-	// happens before this load, so a rollout transition racing the
-	// build either is already visible here or will find this session in
-	// its re-pin sweep (blocking on gs.mu until the build publishes).
-	sess, err := gw.serviceFor(id).OpenSession(id)
 	if err != nil {
 		gs.closed = true
 		gs.mu.Unlock()
@@ -494,51 +502,29 @@ func (gw *Gateway) RestoreSession(id string, st *SessionState) (*GatewaySession,
 	if err := gw.allowGlobal(); err != nil {
 		return nil, err
 	}
-	gs := &GatewaySession{id: id, gw: gw}
-	gs.mu.Lock()
-	if err := gw.reg.Put(id, gs); err != nil {
-		gs.mu.Unlock()
-		switch {
-		case errors.Is(err, registry.ErrDuplicate):
-			return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
-		case errors.Is(err, registry.ErrFull):
-			return nil, fmt.Errorf("%w (%d)", ErrGatewayFull, gw.cfg.maxSessions)
+	gs, err := gw.register(id, "restore", func(svc *Service) (*Session, error) {
+		// A snapshot from generation 0 comes from a bare Service and pins
+		// nothing; anything else must match the hosting service exactly.
+		// A cohort device during an active rollout resolves to the canary
+		// (generation 0 until promoted), so snapshots conservatively fall
+		// back cold rather than graft incumbent state onto the canary arm.
+		if st.Generation != 0 && st.Generation != svc.gen {
+			return nil, fmt.Errorf("%w: snapshot pinned generation %d, serving %d",
+				ErrStateGeneration, st.Generation, svc.gen)
 		}
-		return nil, err
-	}
-	unwind := func() {
-		gs.closed = true
-		gs.mu.Unlock()
-		gw.reg.CompareAndRemove(id, gs)
-	}
-	if gw.draining.Load() {
-		unwind()
-		return nil, fmt.Errorf("%w: rejecting restore %q", ErrGatewayDraining, id)
-	}
-	svc := gw.serviceFor(id)
-	// A snapshot from generation 0 comes from a bare Service and pins
-	// nothing; anything else must match the hosting service exactly. A
-	// cohort device during an active rollout resolves to the canary
-	// (generation 0 until promoted), so snapshots conservatively fall
-	// back cold rather than graft incumbent state onto the canary arm.
-	if st.Generation != 0 && st.Generation != svc.gen {
-		unwind()
-		return nil, fmt.Errorf("%w: snapshot pinned generation %d, serving %d",
-			ErrStateGeneration, st.Generation, svc.gen)
-	}
-	sess, err := svc.OpenSession(id)
+		sess, err := svc.OpenSession(id)
+		if err != nil {
+			return nil, err
+		}
+		if err := sess.Restore(st); err != nil {
+			sess.Close()
+			return nil, err
+		}
+		return sess, nil
+	})
 	if err != nil {
-		unwind()
 		return nil, err
 	}
-	if err := sess.Restore(st); err != nil {
-		sess.Close()
-		unwind()
-		return nil, err
-	}
-	gs.sess = sess
-	gs.mu.Unlock()
-	gw.tel.SessionOpened()
 	gw.tel.HandoffStateful()
 	return gs, nil
 }

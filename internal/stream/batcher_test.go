@@ -41,7 +41,10 @@ func TestBatcherRunsEverySubmission(t *testing.T) {
 	if got := waits.Load(); got != devices*pushes {
 		t.Fatalf("onWait saw %d tasks, want %d", got, devices*pushes)
 	}
-	// Every task belongs to exactly one flush run.
+	// Every task belongs to exactly one flush run. A worker reports its
+	// run after the run's last task has signalled done, so Close (which
+	// waits for the workers) must return before the tally is final.
+	b.Close()
 	if got := coalesced.Load(); got != devices*pushes {
 		t.Fatalf("flush runs covered %d tasks, want %d", got, devices*pushes)
 	}

@@ -263,22 +263,9 @@ func DecodeFrame(data []byte) (Frame, []byte, error) {
 	if len(data) < HeaderLen {
 		return Frame{}, nil, fmt.Errorf("%w: %d header bytes of %d", ErrFrameTruncated, len(data), HeaderLen)
 	}
-	if string(data[:4]) != Magic {
-		return Frame{}, nil, ErrBadMagic
-	}
-	if data[4] != Version {
-		return Frame{}, nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, data[4], Version)
-	}
-	typ := FrameType(data[5])
-	if !typ.Valid() {
-		return Frame{}, nil, fmt.Errorf("%w: 0x%02x", ErrBadType, data[5])
-	}
-	if flags := binary.LittleEndian.Uint16(data[6:8]); flags != 0 {
-		return Frame{}, nil, fmt.Errorf("%w: 0x%04x", ErrBadFlags, flags)
-	}
-	n := binary.LittleEndian.Uint32(data[8:12])
-	if n > MaxFramePayload {
-		return Frame{}, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, MaxFramePayload)
+	typ, n, err := checkHeader(data)
+	if err != nil {
+		return Frame{}, nil, err
 	}
 	if uint64(len(data)) < FrameOverhead+uint64(n) {
 		return Frame{}, nil, fmt.Errorf("%w: %d bytes of %d", ErrFrameTruncated, len(data), FrameOverhead+n)
@@ -289,6 +276,29 @@ func DecodeFrame(data []byte) (Frame, []byte, error) {
 		return Frame{}, nil, fmt.Errorf("%w: got %08x want %08x", ErrBadChecksum, got, want)
 	}
 	return Frame{Type: typ, Payload: payload}, data[FrameOverhead+n:], nil
+}
+
+// checkHeader validates a frame header — magic, version, type, reserved
+// flags, length bound — and returns its type and payload length.
+func checkHeader(h []byte) (FrameType, uint32, error) {
+	if string(h[:4]) != Magic {
+		return 0, 0, ErrBadMagic
+	}
+	if h[4] != Version {
+		return 0, 0, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, h[4], Version)
+	}
+	typ := FrameType(h[5])
+	if !typ.Valid() {
+		return 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadType, h[5])
+	}
+	if flags := binary.LittleEndian.Uint16(h[6:8]); flags != 0 {
+		return 0, 0, fmt.Errorf("%w: 0x%04x", ErrBadFlags, flags)
+	}
+	n := binary.LittleEndian.Uint32(h[8:12])
+	if n > MaxFramePayload {
+		return 0, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, MaxFramePayload)
+	}
+	return typ, n, nil
 }
 
 // Reader decodes a sequence of frames from a byte stream, reusing one
@@ -318,23 +328,9 @@ func (rd *Reader) Next() (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	h := rd.header[:]
-	if string(h[:4]) != Magic {
-		return Frame{}, ErrBadMagic
-	}
-	if h[4] != Version {
-		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, h[4], Version)
-	}
-	typ := FrameType(h[5])
-	if !typ.Valid() {
-		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrBadType, h[5])
-	}
-	if flags := binary.LittleEndian.Uint16(h[6:8]); flags != 0 {
-		return Frame{}, fmt.Errorf("%w: 0x%04x", ErrBadFlags, flags)
-	}
-	n := binary.LittleEndian.Uint32(h[8:12])
-	if n > MaxFramePayload {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, MaxFramePayload)
+	typ, n, err := checkHeader(rd.header[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	need := int(n) + TrailerLen
 	if cap(rd.buf) < need {

@@ -16,11 +16,6 @@ import (
 //
 // Layout: magic "ADSC" | uint32 version (1) | uint32 bin count |
 // float64 spectral bin frequencies (Hz) | embedded network ("ADNN" ...).
-//
-// LoadSystem also accepts the legacy pre-container format — a raw
-// network stream starting with the "ADNN" magic — and pairs it with the
-// default feature layout, so models written by older adasense-train
-// builds keep loading.
 const (
 	containerMagic   = "ADSC"
 	containerVersion = 1
@@ -56,10 +51,10 @@ func (s *System) Save(w io.Writer) error {
 	return err
 }
 
-// LoadSystem deserializes a system saved with Save. Both the current
-// container format and the legacy raw-network format are accepted; the
-// network's input size must match the (carried or default) feature
-// layout.
+// LoadSystem deserializes a system saved with Save. The network's input
+// size must match the feature layout the container carries. A bare
+// network stream (the pre-container format) is rejected with a pointer
+// to re-save it with adasense-train.
 func LoadSystem(r io.Reader) (*System, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(containerMagic))
@@ -70,8 +65,7 @@ func LoadSystem(r io.Reader) (*System, error) {
 	case containerMagic:
 		return loadContainer(br)
 	case nn.Magic:
-		// Legacy format: a bare network with the default feature layout.
-		return loadNetwork(br, features.DefaultBinFreqsHz())
+		return nil, fmt.Errorf("adasense: bare %q network stream (pre-container format) is not supported; re-save the model with adasense-train", head)
 	default:
 		return nil, fmt.Errorf("adasense: unrecognized model magic %q", head)
 	}
@@ -97,12 +91,6 @@ func loadContainer(br *bufio.Reader) (*System, error) {
 	if err := binary.Read(br, binary.LittleEndian, bins); err != nil {
 		return nil, fmt.Errorf("adasense: reading feature layout: %w", err)
 	}
-	return loadNetwork(br, bins)
-}
-
-// loadNetwork reads the network stream and checks it against the feature
-// layout.
-func loadNetwork(br *bufio.Reader, bins []float64) (*System, error) {
 	// Validate the layout itself (positive bin frequencies).
 	if _, err := features.NewExtractor(bins); err != nil {
 		return nil, fmt.Errorf("adasense: invalid feature layout: %w", err)

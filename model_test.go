@@ -3,11 +3,10 @@ package adasense_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"adasense"
-	"adasense/internal/nn"
-	"adasense/internal/rng"
 )
 
 // containerHeader hand-crafts a model-container header for malformed-input
@@ -21,22 +20,21 @@ func containerHeader(version uint32, bins []float64) *bytes.Buffer {
 	return &buf
 }
 
+// TestLoadLegacyRawNetworkFormat pins the clean rejection of the
+// pre-container format, a bare network stream with no container header:
+// the error must tell the operator how to recover.
 func TestLoadLegacyRawNetworkFormat(t *testing.T) {
 	sys, _ := trainedSystem(t)
-	// The legacy format is the bare network stream, no container header.
 	var buf bytes.Buffer
 	if _, err := sys.Network.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := adasense.LoadSystem(&buf)
-	if err != nil {
-		t.Fatalf("legacy-format model failed to load: %v", err)
+	if err == nil {
+		t.Fatalf("bare network stream loaded (%d inputs), want a rejection", loaded.Network.In)
 	}
-	if loaded.Network.In != sys.Network.In {
-		t.Fatal("legacy load lost dimensions")
-	}
-	if _, err := loaded.NewPipeline(); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "re-save") || !strings.Contains(err.Error(), "adasense-train") {
+		t.Fatalf("rejection %q does not say to re-save with adasense-train", err)
 	}
 }
 
@@ -79,17 +77,6 @@ func TestLoadMismatchedFeatureLayout(t *testing.T) {
 	}
 	if _, err := adasense.LoadSystem(buf); err == nil {
 		t.Fatal("layout/network size mismatch accepted")
-	}
-
-	// Same for the legacy format: a bare network whose input size does
-	// not match the default layout.
-	odd := nn.New(12, 4, adasense.NumActivities, rng.New(1))
-	var legacy bytes.Buffer
-	if _, err := odd.WriteTo(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adasense.LoadSystem(&legacy); err == nil {
-		t.Fatal("legacy network with wrong input size accepted")
 	}
 }
 

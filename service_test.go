@@ -10,6 +10,7 @@ import (
 	"adasense"
 	"adasense/internal/nn"
 	"adasense/internal/rng"
+	"adasense/internal/sim"
 )
 
 func testService(t *testing.T, opts ...adasense.Option) *adasense.Service {
@@ -246,6 +247,8 @@ func TestServiceClassifyConcurrent(t *testing.T) {
 	}
 }
 
+// TestServiceRunMatchesLegacySimulate checks Service.Run against the
+// bare closed loop it wraps, sim.Run over a hand-assembled spec.
 func TestServiceRunMatchesLegacySimulate(t *testing.T) {
 	sys, _ := trainedSystem(t)
 	svc := testService(t)
@@ -266,16 +269,16 @@ func TestServiceRunMatchesLegacySimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := adasense.Simulate(adasense.SimulationSpec{
+	want, err := sim.Run(sim.Spec{
 		Motion:     adasense.NewMotion(sched, 11),
 		Controller: adasense.NewSPOTWithConfidence(8),
 		Classifier: pipe,
-	}, 13)
+	}, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.SensorChargeUC != want.SensorChargeUC || got.Accuracy() != want.Accuracy() || got.Ticks != want.Ticks {
-		t.Fatalf("Service.Run diverged from legacy Simulate:\n got %v/%v/%d\nwant %v/%v/%d",
+		t.Fatalf("Service.Run diverged from sim.Run:\n got %v/%v/%d\nwant %v/%v/%d",
 			got.SensorChargeUC, got.Accuracy(), got.Ticks,
 			want.SensorChargeUC, want.Accuracy(), want.Ticks)
 	}
