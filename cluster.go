@@ -442,7 +442,7 @@ func (c *Cluster) applySnapshot(snap membership.Snapshot) error {
 		}
 	}
 	c.view.Store(view)
-	c.gw.tel.Rebalance()
+	c.gw.tel.Rebalances.Add(1)
 	// Session handoff: every local session whose device the new ring
 	// assigns to another replica is snapshotted, closed, and its state
 	// shipped to the new owner — each on its own goroutine, after its
@@ -482,19 +482,13 @@ func (c *Cluster) handOff(gs *GatewaySession) {
 		return
 	}
 	rep, known := view.replicas[owner]
-	if c.coldOnly || !known {
-		if gs.closeHandedOff() {
-			c.gw.tel.SessionHandedOff()
-		}
-		return
-	}
-	st, closed := gs.snapshotHandedOff()
+	st, closed := gs.close(!c.coldOnly && known)
 	if !closed {
 		return // lost the race with a concurrent close
 	}
-	c.gw.tel.SessionHandedOff()
+	c.gw.tel.SessionsHandedOff.Add(1)
 	if st == nil {
-		return // snapshot failed; the new owner adopts the device cold
+		return // cold handoff, or the snapshot failed; the new owner adopts the device cold
 	}
 	body, err := st.AppendBinary(make([]byte, 0, st.EncodedLen()))
 	if err != nil {
@@ -593,7 +587,7 @@ func (c *Cluster) IsHandoffPeer(id string) bool {
 // different membership generation. The request is still served locally
 // (the loop guard), but the counter surfaces how long a fleet stays
 // skewed after a rebalance.
-func (c *Cluster) MarkStaleRoute() { c.gw.tel.StaleRoute() }
+func (c *Cluster) MarkStaleRoute() { c.gw.tel.StaleRoutes.Add(1) }
 
 // Forward proxies r to peer to, relaying the response (status, content
 // type, body) back through w. The incoming Authorization header travels
@@ -650,7 +644,7 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, to Replica) er
 		// series must only indict peers, or its documented alert pages
 		// on ordinary flaky clients.
 		if r.Context().Err() == nil {
-			c.gw.tel.PeerError()
+			c.gw.tel.PeerErrors.Add(1)
 		}
 		return fmt.Errorf("adasense: forwarding to %q: %w", to.ID, err)
 	}
@@ -661,7 +655,7 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, to Replica) er
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	c.gw.tel.RequestForwarded()
+	c.gw.tel.RequestsForwarded.Add(1)
 	io.Copy(w, resp.Body)
 	return nil
 }
@@ -750,7 +744,7 @@ func (c *Cluster) SwapModel(ctx context.Context, model []byte) ([]SwapResult, er
 func (c *Cluster) pushModel(ctx context.Context, rep Replica, model []byte) SwapResult {
 	res := c.pushBytes(ctx, http.MethodPost, rep, "/v1/model", "application/octet-stream", model)
 	if res.Err == nil {
-		c.gw.tel.SwapReplicated()
+		c.gw.tel.SwapsReplicated.Add(1)
 	}
 	return res
 }
@@ -773,7 +767,7 @@ func (c *Cluster) pushBytes(ctx context.Context, method string, rep Replica, pat
 		if res.Err == nil {
 			return res
 		}
-		c.gw.tel.PeerError()
+		c.gw.tel.PeerErrors.Add(1)
 		if !retryable {
 			return res
 		}

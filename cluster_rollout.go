@@ -138,24 +138,24 @@ func (c *Cluster) pullModel(rep Replica) error {
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.gw.tel.PeerError()
+		c.gw.tel.PeerErrors.Add(1)
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		c.gw.tel.PeerError()
+		c.gw.tel.PeerErrors.Add(1)
 		return fmt.Errorf("adasense: peer %q answered %d to model pull", rep.ID, resp.StatusCode)
 	}
 	// The response header carries the generation the body was serialized
 	// at — authoritative over whatever observation triggered the pull.
 	gen, err := strconv.ParseUint(resp.Header.Get(ModelGenHeader), 10, 64)
 	if err != nil {
-		c.gw.tel.PeerError()
+		c.gw.tel.PeerErrors.Add(1)
 		return fmt.Errorf("adasense: peer %q sent no model generation: %w", rep.ID, err)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPulledModelBytes))
 	if err != nil {
-		c.gw.tel.PeerError()
+		c.gw.tel.PeerErrors.Add(1)
 		return err
 	}
 	if gen <= c.gw.ModelGeneration() {
@@ -163,7 +163,7 @@ func (c *Cluster) pullModel(rep Replica) error {
 	}
 	sys, err := LoadSystem(bytes.NewReader(data))
 	if err != nil {
-		c.gw.tel.PeerError()
+		c.gw.tel.PeerErrors.Add(1)
 		return err
 	}
 	if err := c.gw.InstallModel(sys, gen); err != nil {
@@ -171,6 +171,6 @@ func (c *Cluster) pullModel(rep Replica) error {
 		// own completion will set the fleet's model.
 		return err
 	}
-	c.gw.tel.ModelCatchup()
+	c.gw.tel.ModelCatchups.Add(1)
 	return nil
 }

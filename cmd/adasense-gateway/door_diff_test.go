@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"testing"
@@ -74,10 +75,12 @@ func (d *streamDoor) push(b *adasense.Batch) ([]doorEvent, adasense.Config, erro
 // adaptive SPOT controller — must produce identical events and an
 // identical directed config after every push. Each door samples its
 // next batch at the config it was last directed to, so one divergence
-// would also fork every batch after it.
+// would also fork every batch after it. At the end the three sessions
+// must hold bit-identical energy ledgers, and the gateway's counters
+// must account for every push and every event the doors returned.
 func TestDoorsAgree(t *testing.T) {
 	const pushes = 90
-	ts, _, tcp := newDoorServer(t, adasense.WithServiceOptions(
+	ts, gw, tcp := newDoorServer(t, adasense.WithServiceOptions(
 		adasense.WithControllerFactory(func() adasense.Controller { return adasense.NewSPOTWithConfidence(10) })))
 
 	var opened sessionJSON
@@ -89,12 +92,12 @@ func TestDoorsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	doors := []struct {
-		name string
-		d    doorClient
+		name, device string
+		d            doorClient
 	}{
-		{"http", &httpDoor{t: t, base: ts.URL, device: "diff-http", cfg: httpCfg}},
-		{"adsp-tcp", &streamDoor{dialDoor(t, tcp, "diff-tcp")}},
-		{"adsp-ws", &streamDoor{dialDoor(t, ts.URL, "diff-ws")}},
+		{"http", "diff-http", &httpDoor{t: t, base: ts.URL, device: "diff-http", cfg: httpCfg}},
+		{"adsp-tcp", "diff-tcp", &streamDoor{dialDoor(t, tcp, "diff-tcp")}},
+		{"adsp-ws", "diff-ws", &streamDoor{dialDoor(t, ts.URL, "diff-ws")}},
 	}
 
 	sched, err := adasense.NewSchedule([]adasense.Segment{
@@ -120,7 +123,7 @@ func TestDoorsAgree(t *testing.T) {
 			t.Fatalf("%s starts at %v, http at %v", d.name, d.d.config(), httpCfg)
 		}
 	}
-	switches := 0
+	switches, events := 0, 0
 	for p := 0; p < pushes; p++ {
 		var wantEvs []doorEvent
 		var wantCfg adasense.Config
@@ -130,6 +133,7 @@ func TestDoorsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("push %d via %s: %v", p, d.name, err)
 			}
+			events += len(evs)
 			if i == 0 {
 				wantEvs, wantCfg = evs, cfg
 				for _, ev := range evs {
@@ -149,5 +153,32 @@ func TestDoorsAgree(t *testing.T) {
 	}
 	if switches == 0 {
 		t.Fatal("the trajectory never switched configs; the differential covers no adaptation")
+	}
+
+	var want adasense.EnergyEstimate
+	for i, d := range doors {
+		gs, ok := gw.Lookup(d.device)
+		if !ok {
+			t.Fatalf("%s session %q is gone", d.name, d.device)
+		}
+		e := gs.Energy()
+		if i == 0 {
+			want = e
+			if e.ElapsedSec <= 0 || e.ChargeUC <= 0 {
+				t.Fatalf("http ledger is empty: %+v", e)
+			}
+			continue
+		}
+		if math.Float64bits(e.ElapsedSec) != math.Float64bits(want.ElapsedSec) ||
+			math.Float64bits(e.ChargeUC) != math.Float64bits(want.ChargeUC) {
+			t.Fatalf("%s energy %+v, http %+v", d.name, e, want)
+		}
+	}
+	s := gw.Stats()
+	if s.BatchesPushed != 3*pushes {
+		t.Fatalf("batches pushed = %d, want %d", s.BatchesPushed, 3*pushes)
+	}
+	if s.EventsEmitted != uint64(events) {
+		t.Fatalf("events emitted = %d, the doors returned %d", s.EventsEmitted, events)
 	}
 }

@@ -566,11 +566,8 @@ func run(cfg gatewayFlags) error {
 	if err := srv.Shutdown(sctx); err != nil {
 		logger.Warn("http shutdown", "err", err)
 	}
-	s := gw.Stats()
-	logger.Info("final telemetry",
-		"opened", s.SessionsOpened, "closed", s.SessionsClosed, "evicted", s.SessionsEvicted,
-		"batches", s.BatchesPushed, "events", s.EventsEmitted, "classify", s.ClassifyCalls,
-		"swaps", s.ModelSwaps, "rate_limited_device", s.RateLimitedDevice,
-		"rate_limited_global", s.RateLimitedGlobal, "auth_rejects", s.AuthRejects)
+	// One attribute carries every serving counter, so the line accounts
+	// for federation and rollout traffic as well as sessions.
+	logger.Info("final telemetry", "counters", gw.Stats().Snapshot)
 	return drainErr
 }

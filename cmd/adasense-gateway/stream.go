@@ -114,12 +114,12 @@ func (ss *streamServer) ServeConn(rwc io.ReadWriteCloser) {
 	ss.conns[c] = struct{}{}
 	ss.live.Add(1)
 	ss.mu.Unlock()
-	ss.tel.ConnOpened()
+	ss.tel.ConnsOpened.Add(1)
 	defer func() {
 		ss.mu.Lock()
 		delete(ss.conns, c)
 		ss.mu.Unlock()
-		ss.tel.ConnClosed()
+		ss.tel.ConnsClosed.Add(1)
 		rwc.Close()
 		ss.live.Done()
 	}()
@@ -358,7 +358,7 @@ func (ss *streamServer) redirectIfNotOwned(c *streamConn, device string) bool {
 // redirect names the device's owning replica in a redirect frame and
 // says goodbye with CodeRedirect.
 func (ss *streamServer) redirect(c *streamConn, owner adasense.Replica) {
-	ss.tel.RedirectSent()
+	ss.tel.Redirects.Add(1)
 	writeFrame(ss, c, stream.FrameRedirect, stream.AppendRedirect,
 		stream.Redirect{ReplicaID: owner.ID, ReplicaURL: owner.URL})
 	ss.writeGoodbye(c, stream.CodeRedirect, "device is owned by "+owner.ID)

@@ -180,61 +180,13 @@ func WithServiceOptions(opts ...Option) GatewayOption {
 }
 
 // ServingStats is a point-in-time snapshot of a gateway's serving
-// state: the monotonic telemetry counters plus the live gauges
-// (registry occupancy, capacity, drain state) a metrics endpoint needs,
-// so exporters read everything from one snapshot instead of reaching
-// into gateway internals.
+// state: the monotonic telemetry counters (the embedded Snapshot, whose
+// fields and JSON keys are promoted, so Stats().ModelSwaps reads a
+// counter directly) plus the live gauges (registry occupancy, capacity,
+// drain state) a metrics endpoint needs, so exporters read everything
+// from one snapshot instead of reaching into gateway internals.
 type ServingStats struct {
-	SessionsOpened  uint64 `json:"sessions_opened"`
-	SessionsClosed  uint64 `json:"sessions_closed"`
-	SessionsEvicted uint64 `json:"sessions_evicted"`
-	BatchesPushed   uint64 `json:"batches_pushed"`
-	EventsEmitted   uint64 `json:"events_emitted"`
-	ClassifyCalls   uint64 `json:"classify_calls"`
-	PoolHits        uint64 `json:"pool_hits"`
-	PoolMisses      uint64 `json:"pool_misses"`
-	ModelSwaps      uint64 `json:"model_swaps"`
-
-	// RateLimitedDevice and RateLimitedGlobal count requests rejected
-	// at the per-device and gateway-wide token buckets; AuthRejects
-	// counts requests presenting a missing or wrong bearer token.
-	RateLimitedDevice uint64 `json:"rate_limited_device"`
-	RateLimitedGlobal uint64 `json:"rate_limited_global"`
-	AuthRejects       uint64 `json:"auth_rejects"`
-
-	// Federation counters, advanced by the Cluster layer: requests
-	// forwarded to their owning peer replica, model swaps successfully
-	// replicated to a peer, and failed peer calls (forwards plus swap
-	// attempts). All zero on an unfederated gateway.
-	RequestsForwarded uint64 `json:"requests_forwarded"`
-	SwapsReplicated   uint64 `json:"swaps_replicated"`
-	PeerErrors        uint64 `json:"peer_errors"`
-
-	// Dynamic-membership counters, advanced by a source-driven Cluster:
-	// membership changes applied (ring generations swapped in), local
-	// sessions closed because a rebalance moved their device to another
-	// replica, and forwarded requests that arrived on a stale ring
-	// generation. All zero on a static or standalone gateway.
-	Rebalances        uint64 `json:"rebalances"`
-	SessionsHandedOff uint64 `json:"sessions_handed_off"`
-	StaleRoutes       uint64 `json:"stale_routes"`
-
-	// Stateful-handoff counters, both advanced on the receiving
-	// replica: sessions restored from a peer's ADSS state snapshot
-	// (the device's adaptation trajectory survived the move), and
-	// sessions re-opened cold for an owned device with no live session
-	// (rebalance fallback and post-eviction reconnects).
-	HandoffsStateful uint64 `json:"handoffs_stateful"`
-	HandoffsCold     uint64 `json:"handoffs_cold"`
-
-	// Rollout counters: classification events served by a canary arm,
-	// rollouts promoted to incumbent, rollouts ended in rollback
-	// (health gate or operator abort), and models pulled from a peer by
-	// generation catch-up. All zero on a gateway that never canaries.
-	RolloutCanaryClassifies uint64 `json:"rollout_canary_classifies"`
-	RolloutsPromoted        uint64 `json:"rollouts_promoted"`
-	RolloutsRolledBack      uint64 `json:"rollouts_rolled_back"`
-	ModelCatchups           uint64 `json:"model_catchups"`
+	telemetry.Snapshot
 
 	// RolloutStage is the active rollout's stage index, or -1 while no
 	// rollout is observing; RolloutFraction is its current cohort
@@ -242,10 +194,6 @@ type ServingStats struct {
 	RolloutStage    int     `json:"rollout_stage"`
 	RolloutFraction float64 `json:"rollout_fraction"`
 	ModelGeneration uint64  `json:"model_generation"`
-
-	// PoolHitRate is PoolHits / (PoolHits + PoolMisses), or 0 before the
-	// first pipeline checkout.
-	PoolHitRate float64 `json:"pool_hit_rate"`
 
 	// SessionsLive is the registry occupancy at snapshot time;
 	// SessionCapacity is the configured max-sessions cap (0 =
@@ -393,7 +341,7 @@ func (gw *Gateway) SwapModel(sys *System) error {
 	gw.cur.Store(svc)
 	gw.modelGen.Add(1)
 	gw.swapMu.Unlock()
-	gw.tel.ModelSwap()
+	gw.tel.ModelSwaps.Add(1)
 	return nil
 }
 
@@ -461,7 +409,7 @@ func (gw *Gateway) register(id, verb string, build func(*Service) (*Session, err
 	}
 	gs.sess = sess
 	gs.mu.Unlock()
-	gw.tel.SessionOpened()
+	gw.tel.SessionsOpened.Add(1)
 	return gs, nil
 }
 
@@ -475,7 +423,7 @@ func (gw *Gateway) AdoptSession(id string) (*GatewaySession, error) {
 	if err != nil {
 		return nil, err
 	}
-	gw.tel.HandoffCold()
+	gw.tel.HandoffsCold.Add(1)
 	return gs, nil
 }
 
@@ -525,7 +473,7 @@ func (gw *Gateway) RestoreSession(id string, st *SessionState) (*GatewaySession,
 	if err != nil {
 		return nil, err
 	}
-	gw.tel.HandoffStateful()
+	gw.tel.HandoffsStateful.Add(1)
 	return gs, nil
 }
 
@@ -541,10 +489,10 @@ func (gw *Gateway) allow(device string) error {
 	gw.lat.ObserveStage(telemetry.StageRateLimit, time.Since(start))
 	switch decision {
 	case ratelimit.DeniedGlobal:
-		gw.tel.RateLimitedGlobal()
+		gw.tel.RateLimitedGlobal.Add(1)
 		return fmt.Errorf("%w: gateway throughput cap", ErrRateLimited)
 	case ratelimit.DeniedDevice:
-		gw.tel.RateLimitedDevice()
+		gw.tel.RateLimitedDevice.Add(1)
 		return fmt.Errorf("%w: device %q over its budget", ErrRateLimited, device)
 	}
 	return nil
@@ -563,7 +511,7 @@ func (gw *Gateway) allowGlobal() error {
 	if ok {
 		return nil
 	}
-	gw.tel.RateLimitedGlobal()
+	gw.tel.RateLimitedGlobal.Add(1)
 	return fmt.Errorf("%w: gateway throughput cap", ErrRateLimited)
 }
 
@@ -595,7 +543,7 @@ func (gw *Gateway) Authorize(token string) bool {
 	if subtle.ConstantTimeCompare([]byte(token), []byte(gw.cfg.authToken)) == 1 {
 		return true
 	}
-	gw.tel.AuthReject()
+	gw.tel.AuthRejects.Add(1)
 	return false
 }
 
@@ -625,10 +573,10 @@ func (gw *Gateway) EvictIdle() []string {
 	evicted := gw.reg.EvictIdle(gw.cfg.idleTTL)
 	ids := make([]string, 0, len(evicted))
 	for _, e := range evicted {
-		// closeEvicted reports false if the session lost the race to a
+		// close reports false if the session lost the race to a
 		// concurrent Close, which already counted it.
-		if e.Val.closeEvicted() {
-			gw.tel.SessionEvicted()
+		if _, closed := e.Val.close(false); closed {
+			gw.tel.SessionsEvicted.Add(1)
 		}
 		ids = append(ids, e.ID)
 	}
@@ -722,43 +670,13 @@ func (gw *Gateway) Draining() bool { return gw.draining.Load() }
 // telemetry plus the live gauges (occupancy, capacity, drain state).
 // Counters persist across model hot-swaps.
 func (gw *Gateway) Stats() ServingStats {
-	s := gw.tel.Snapshot()
 	stage, fraction := gw.rolloutStageGauge()
 	return ServingStats{
-		SessionsOpened:  s.SessionsOpened,
-		SessionsClosed:  s.SessionsClosed,
-		SessionsEvicted: s.SessionsEvicted,
-		BatchesPushed:   s.BatchesPushed,
-		EventsEmitted:   s.EventsEmitted,
-		ClassifyCalls:   s.ClassifyCalls,
-		PoolHits:        s.PoolHits,
-		PoolMisses:      s.PoolMisses,
-		ModelSwaps:      s.ModelSwaps,
-
-		RateLimitedDevice: s.RateLimitedDevice,
-		RateLimitedGlobal: s.RateLimitedGlobal,
-		AuthRejects:       s.AuthRejects,
-
-		RequestsForwarded: s.RequestsForwarded,
-		SwapsReplicated:   s.SwapsReplicated,
-		PeerErrors:        s.PeerErrors,
-
-		Rebalances:        s.Rebalances,
-		SessionsHandedOff: s.SessionsHandedOff,
-		StaleRoutes:       s.StaleRoutes,
-		HandoffsStateful:  s.HandoffsStateful,
-		HandoffsCold:      s.HandoffsCold,
-
-		RolloutCanaryClassifies: s.RolloutCanaryClassifies,
-		RolloutsPromoted:        s.RolloutsPromoted,
-		RolloutsRolledBack:      s.RolloutsRolledBack,
-		ModelCatchups:           s.ModelCatchups,
+		Snapshot: gw.tel.Snapshot(),
 
 		RolloutStage:    stage,
 		RolloutFraction: fraction,
 		ModelGeneration: gw.modelGen.Load(),
-
-		PoolHitRate: s.PoolHitRate,
 
 		SessionsLive:    gw.reg.Len(),
 		SessionCapacity: gw.cfg.maxSessions,
@@ -975,72 +893,35 @@ func (s *GatewaySession) Migrate() error {
 // Close unregisters the session and releases its resources. Closing
 // twice (or closing a session the sweeper already evicted) is a no-op.
 func (s *GatewaySession) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	if _, closed := s.close(false); closed {
+		s.gw.tel.SessionsClosed.Add(1)
 	}
-	s.closed = true
-	s.sess.Close()
-	s.mu.Unlock()
-	// Drop our own registration only: if an eviction sweep already
-	// reclaimed this id and a new session reused it, leave that one be.
-	s.gw.reg.CompareAndRemove(s.id, s)
-	s.gw.tel.SessionClosed()
 }
 
-// closeEvicted is Close for the eviction sweep, which has already removed
-// the registration. It reports whether this call actually closed the
-// session (false if a concurrent Close got there first).
-func (s *GatewaySession) closeEvicted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.closed = true
-	s.sess.Close()
-	return true
-}
-
-// closeHandedOff is Close for a rebalance handoff: a membership change
-// moved this session's device to another replica, so the departing
-// owner closes it after its in-flight push and drops the registration.
-// It reports whether this call actually closed the session (false if a
-// concurrent Close or eviction got there first). Like evictions,
-// handoffs count in their own telemetry series, not sessions_closed.
-func (s *GatewaySession) closeHandedOff() bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	s.closed = true
-	s.sess.Close()
-	s.mu.Unlock()
-	s.gw.reg.CompareAndRemove(s.id, s)
-	return true
-}
-
-// snapshotHandedOff is closeHandedOff plus a final state snapshot taken
-// in the same critical section, so no push can land between the
-// snapshot and the close — the snapshot is exact. It returns the
-// snapshot (nil if it could not be taken; the device then re-opens
-// cold) and whether this call closed the session. No network happens
-// under the lock; shipping the snapshot is the caller's job.
-func (s *GatewaySession) snapshotHandedOff() (*SessionState, bool) {
+// close is the one close step behind Close, the eviction sweep and a
+// rebalance handoff. It closes the session after its in-flight push,
+// then drops the id's registration if it is still this session's: the
+// value compare spares an id that an eviction sweep already removed and
+// a new session re-registered. With snapshot set it also captures the
+// session's state in the same critical section, so no push can land
+// between the snapshot and the close — the snapshot is exact (nil if it
+// could not be taken; the device then re-opens cold). No network
+// happens under the lock; shipping the snapshot is the caller's job. It
+// reports whether this call closed the session (false if another close
+// got there first); each caller counts its own telemetry series.
+func (s *GatewaySession) close(snapshot bool) (*SessionState, bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false
 	}
-	st, err := s.sess.Snapshot()
+	var st *SessionState
+	if snapshot {
+		st, _ = s.sess.Snapshot()
+	}
 	s.closed = true
 	s.sess.Close()
 	s.mu.Unlock()
 	s.gw.reg.CompareAndRemove(s.id, s)
-	if err != nil {
-		return nil, true
-	}
 	return st, true
 }

@@ -194,8 +194,9 @@ func BenchmarkGatewayTelemetry(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				c.BatchPushed(1)
-				c.PoolHit()
+				c.BatchesPushed.Add(1)
+				c.EventsEmitted.Add(1)
+				c.PoolHits.Add(1)
 			}
 		})
 	})

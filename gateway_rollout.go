@@ -245,8 +245,8 @@ func (gw *Gateway) applyRolloutLocked(ar *activeRollout, action string, to int, 
 		gw.cur.Store(ar.canary)
 		gw.modelGen.Add(1)
 		gw.swapMu.Unlock()
-		gw.tel.ModelSwap()
-		gw.tel.RolloutPromoted()
+		gw.tel.ModelSwaps.Add(1)
+		gw.tel.RolloutsPromoted.Add(1)
 		gw.settleRollout(ar)
 	case rollout.ActionRollback, rollout.ActionAbort:
 		if !ar.ctl.Rollback(now, action, reason) {
@@ -255,7 +255,7 @@ func (gw *Gateway) applyRolloutLocked(ar *activeRollout, action string, to int, 
 		if action == rollout.ActionRollback {
 			gw.rollouts.frozen[ar.ctl.Candidate()] = reason
 		}
-		gw.tel.RolloutRolledBack()
+		gw.tel.RolloutsRolledBack.Add(1)
 		gw.settleRollout(ar)
 	default:
 		return false
@@ -340,7 +340,7 @@ func (gw *Gateway) rolloutObserve(svc *Service, events []Event) {
 		ar.ctl.Record(canary, int(ev.Classification.Activity), ev.Classification.Confidence, power.CurrentUA(ev.Config))
 	}
 	if canary {
-		gw.tel.RolloutCanaryClassifies(len(events))
+		gw.tel.RolloutCanaryClassifies.Add(uint64(len(events)))
 	}
 }
 
@@ -386,7 +386,7 @@ func (gw *Gateway) InstallModel(sys *System, gen uint64) error {
 	gw.cur.Store(svc)
 	gw.modelGen.Store(next)
 	gw.swapMu.Unlock()
-	gw.tel.ModelSwap()
+	gw.tel.ModelSwaps.Add(1)
 	return nil
 }
 

@@ -2,8 +2,11 @@ package adasense_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -428,6 +431,39 @@ func TestGatewayStatsSnapshot(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("WriteMetrics missing %q:\n%s", want, b.String())
 		}
+	}
+}
+
+// TestServingStatsJSONKeys pins the top-level JSON key set of Stats(),
+// the shape operators and scripts read off the gateway's counters and
+// gauges: renaming, dropping or nesting a field fails here.
+func TestServingStatsJSONKeys(t *testing.T) {
+	raw, err := json.Marshal(testGateway(t).Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(m))
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"auth_rejects", "batches_pushed", "classify_calls", "draining",
+		"events_emitted", "handoffs_cold", "handoffs_stateful", "latency",
+		"model_catchups", "model_generation", "model_swaps", "peer_errors",
+		"pool_hit_rate", "pool_hits", "pool_misses", "rate_limited_device",
+		"rate_limited_global", "rebalances", "requests_forwarded",
+		"rollout_canary_classifies", "rollout_fraction", "rollout_stage",
+		"rollouts_promoted", "rollouts_rolled_back", "session_capacity",
+		"sessions_closed", "sessions_evicted", "sessions_handed_off",
+		"sessions_live", "sessions_opened", "stale_routes", "swaps_replicated",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats() JSON keys:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -17,23 +17,22 @@ const NumFrameTypes = 16
 // behavior. The zero value is ready to use; StreamCounters must not be
 // copied after first use. Owned by whichever layer runs the stream
 // listeners (the gateway command), and exported on /metrics as the
-// adasense_stream_* series.
+// adasense_stream_* series. The exported fields are counted with Add;
+// the frame and batcher counters go through their methods.
 type StreamCounters struct {
-	connsOpened atomic.Uint64
-	connsClosed atomic.Uint64
-	framesIn    [NumFrameTypes]atomic.Uint64
-	framesOut   [NumFrameTypes]atomic.Uint64
-	redirects   atomic.Uint64
+	// ConnsOpened counts accepted stream connections (any transport),
+	// ConnsClosed connections ended however they ended, and Redirects
+	// devices redirected to their ring owner.
+	ConnsOpened atomic.Uint64
+	ConnsClosed atomic.Uint64
+	Redirects   atomic.Uint64
+
+	framesIn  [NumFrameTypes]atomic.Uint64
+	framesOut [NumFrameTypes]atomic.Uint64
 
 	batcherFlushes   atomic.Uint64
 	batcherCoalesced atomic.Uint64
 }
-
-// ConnOpened records one accepted stream connection (any transport).
-func (c *StreamCounters) ConnOpened() { c.connsOpened.Add(1) }
-
-// ConnClosed records one stream connection ending, however it ended.
-func (c *StreamCounters) ConnClosed() { c.connsClosed.Add(1) }
 
 // FrameIn records one decoded inbound frame of the given raw type.
 func (c *StreamCounters) FrameIn(typ uint8) {
@@ -48,9 +47,6 @@ func (c *StreamCounters) FrameOut(typ uint8) {
 		c.framesOut[typ].Add(1)
 	}
 }
-
-// RedirectSent records one device redirected to its ring owner.
-func (c *StreamCounters) RedirectSent() { c.redirects.Add(1) }
 
 // BatcherFlush records one admission-batcher run that executed n
 // coalesced tasks back to back.
@@ -83,11 +79,11 @@ type StreamSnapshot struct {
 func (c *StreamCounters) Snapshot() StreamSnapshot {
 	// Closed is read before opened so a connection landing between the
 	// two loads cannot make the derived live gauge go negative.
-	closed := c.connsClosed.Load()
+	closed := c.ConnsClosed.Load()
 	s := StreamSnapshot{
-		ConnsOpened:      c.connsOpened.Load(),
+		ConnsOpened:      c.ConnsOpened.Load(),
 		ConnsClosed:      closed,
-		Redirects:        c.redirects.Load(),
+		Redirects:        c.Redirects.Load(),
 		BatcherFlushes:   c.batcherFlushes.Load(),
 		BatcherCoalesced: c.batcherCoalesced.Load(),
 	}

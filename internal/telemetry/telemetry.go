@@ -5,9 +5,9 @@
 // pipeline pool (hits/misses), model hot-swaps and federation traffic
 // (forwarded requests, replicated swaps, peer errors).
 //
-// Counters is safe for concurrent use from any number of goroutines; the
-// increment methods compile to a single atomic add with no allocation, so
-// they are cheap enough for the per-batch hot path. Snapshot copies a
+// Counters is safe for concurrent use from any number of goroutines; each
+// counter is an atomic.Uint64 field whose Add is a single atomic add with
+// no allocation, cheap enough for the per-batch hot path. Snapshot copies a
 // consistent-enough point-in-time view for /metrics endpoints: each field
 // is read atomically, but the set of fields is not one global atomic
 // snapshot (counters may advance between field reads), which is the usual
@@ -17,135 +17,73 @@ package telemetry
 import "sync/atomic"
 
 // Counters is the serving layer's counter set. The zero value is ready to
-// use. Counters must not be copied after first use.
+// use. Counters must not be copied after first use. Each field is named
+// after the Snapshot field it fills, and callers count with its Add.
 type Counters struct {
-	sessionsOpened    atomic.Uint64
-	sessionsClosed    atomic.Uint64
-	sessionsEvicted   atomic.Uint64
-	batchesPushed     atomic.Uint64
-	eventsEmitted     atomic.Uint64
-	classifyCalls     atomic.Uint64
-	poolHits          atomic.Uint64
-	poolMisses        atomic.Uint64
-	modelSwaps        atomic.Uint64
-	rateLimitedDevice atomic.Uint64
-	rateLimitedGlobal atomic.Uint64
-	authRejects       atomic.Uint64
-	requestsForwarded atomic.Uint64
-	swapsReplicated   atomic.Uint64
-	peerErrors        atomic.Uint64
-	rebalances        atomic.Uint64
-	sessionsHandedOff atomic.Uint64
-	staleRoutes       atomic.Uint64
-	handoffsStateful  atomic.Uint64
-	handoffsCold      atomic.Uint64
+	// Session lifecycle: mints, caller-initiated closes and idle-TTL
+	// evictions.
+	SessionsOpened  atomic.Uint64
+	SessionsClosed  atomic.Uint64
+	SessionsEvicted atomic.Uint64
 
-	rolloutCanaryClassifies atomic.Uint64
-	rolloutsPromoted        atomic.Uint64
-	rolloutsRolledBack      atomic.Uint64
-	modelCatchups           atomic.Uint64
+	// Data path: batches accepted by a session, the classification
+	// events they completed, and stateless one-shot classifications.
+	BatchesPushed atomic.Uint64
+	EventsEmitted atomic.Uint64
+	ClassifyCalls atomic.Uint64
+
+	// Pipeline checkouts served from the pool or built fresh, and atomic
+	// model hot-swaps.
+	PoolHits   atomic.Uint64
+	PoolMisses atomic.Uint64
+	ModelSwaps atomic.Uint64
+
+	// Requests rejected at their device's token bucket or at the
+	// gateway-wide one, and requests presenting a missing or wrong
+	// bearer token.
+	RateLimitedDevice atomic.Uint64
+	RateLimitedGlobal atomic.Uint64
+	AuthRejects       atomic.Uint64
+
+	// Federation, advanced by the Cluster layer: requests forwarded to
+	// their owning peer replica, model swaps successfully replicated to
+	// a peer, and failed peer calls (forwards, swap replications,
+	// catch-up pulls). All zero on an unfederated gateway.
+	RequestsForwarded atomic.Uint64
+	SwapsReplicated   atomic.Uint64
+	PeerErrors        atomic.Uint64
+
+	// Dynamic membership, advanced by a source-driven Cluster:
+	// membership changes applied (hash ring generations swapped in),
+	// sessions closed by their departing owner because a rebalance moved
+	// their device to another replica, and forwarded requests whose
+	// sender routed on a different ring generation than the local one.
+	// All zero on a static or standalone gateway.
+	Rebalances        atomic.Uint64
+	SessionsHandedOff atomic.Uint64
+	StaleRoutes       atomic.Uint64
+
+	// Stateful handoff, both receiver-side: sessions restored from a
+	// peer's ADSS state snapshot (the device's adaptation trajectory
+	// survived the move), and sessions re-opened cold for an owned
+	// device with no live session (rebalance fallback and post-eviction
+	// reconnects).
+	HandoffsStateful atomic.Uint64
+	HandoffsCold     atomic.Uint64
+
+	// Rollouts: classification events served by a canary arm, rollouts
+	// promoted to incumbent, rollouts ended in rollback (health gate or
+	// operator abort), and models pulled from a peer because a request
+	// revealed a newer fleet model generation. All zero on a gateway
+	// that never canaries.
+	RolloutCanaryClassifies atomic.Uint64
+	RolloutsPromoted        atomic.Uint64
+	RolloutsRolledBack      atomic.Uint64
+	ModelCatchups           atomic.Uint64
 }
 
-// SessionOpened records one session mint.
-func (c *Counters) SessionOpened() { c.sessionsOpened.Add(1) }
-
-// SessionClosed records one caller-initiated session close.
-func (c *Counters) SessionClosed() { c.sessionsClosed.Add(1) }
-
-// SessionEvicted records one idle-TTL eviction.
-func (c *Counters) SessionEvicted() { c.sessionsEvicted.Add(1) }
-
-// BatchPushed records one batch accepted by a session, with the number of
-// classification events it completed.
-func (c *Counters) BatchPushed(events int) {
-	c.batchesPushed.Add(1)
-	if events > 0 {
-		c.eventsEmitted.Add(uint64(events))
-	}
-}
-
-// ClassifyCall records one stateless one-shot classification.
-func (c *Counters) ClassifyCall() { c.classifyCalls.Add(1) }
-
-// PoolHit records a pipeline checkout served from the pool.
-func (c *Counters) PoolHit() { c.poolHits.Add(1) }
-
-// PoolMiss records a pipeline checkout that had to build a fresh pipeline.
-func (c *Counters) PoolMiss() { c.poolMisses.Add(1) }
-
-// ModelSwap records one atomic model hot-swap.
-func (c *Counters) ModelSwap() { c.modelSwaps.Add(1) }
-
-// RateLimitedDevice records one request rejected at its device's
-// token bucket.
-func (c *Counters) RateLimitedDevice() { c.rateLimitedDevice.Add(1) }
-
-// RateLimitedGlobal records one request rejected at the gateway-wide
-// token bucket.
-func (c *Counters) RateLimitedGlobal() { c.rateLimitedGlobal.Add(1) }
-
-// AuthReject records one request presenting a missing or wrong
-// bearer token.
-func (c *Counters) AuthReject() { c.authRejects.Add(1) }
-
-// RequestForwarded records one request forwarded to its owning peer
-// replica.
-func (c *Counters) RequestForwarded() { c.requestsForwarded.Add(1) }
-
-// SwapReplicated records one model swap successfully replicated to a
-// peer replica.
-func (c *Counters) SwapReplicated() { c.swapsReplicated.Add(1) }
-
-// PeerError records one failed call to a peer replica (a forward or a
-// swap-replication attempt).
-func (c *Counters) PeerError() { c.peerErrors.Add(1) }
-
-// Rebalance records one applied membership change (a new hash ring
-// generation swapped in).
-func (c *Counters) Rebalance() { c.rebalances.Add(1) }
-
-// SessionHandedOff records one session closed by its departing owner
-// because a rebalance moved its device to another replica.
-func (c *Counters) SessionHandedOff() { c.sessionsHandedOff.Add(1) }
-
-// StaleRoute records one request that arrived via a peer's forward
-// although the local ring disagrees about ownership — the sender routed
-// on a different membership generation.
-func (c *Counters) StaleRoute() { c.staleRoutes.Add(1) }
-
-// HandoffStateful records one session restored on this replica from a
-// peer's state snapshot — the device's adaptation trajectory survived
-// the move.
-func (c *Counters) HandoffStateful() { c.handoffsStateful.Add(1) }
-
-// HandoffCold records one session re-opened cold on this replica for an
-// owned device the replica had no live session for — the rebalance
-// fallback (old owner gone, snapshot rejected) and post-eviction
-// reconnects both land here.
-func (c *Counters) HandoffCold() { c.handoffsCold.Add(1) }
-
-// RolloutCanaryClassifies records n classification events served by the
-// canary arm of an active rollout.
-func (c *Counters) RolloutCanaryClassifies(n int) {
-	if n > 0 {
-		c.rolloutCanaryClassifies.Add(uint64(n))
-	}
-}
-
-// RolloutPromoted records one rollout completing: the canary passed
-// every stage's gates and became the incumbent.
-func (c *Counters) RolloutPromoted() { c.rolloutsPromoted.Add(1) }
-
-// RolloutRolledBack records one rollout ending in rollback (a health
-// gate failed, or an operator aborted).
-func (c *Counters) RolloutRolledBack() { c.rolloutsRolledBack.Add(1) }
-
-// ModelCatchup records one model pulled and installed from a peer
-// because a request revealed a newer fleet model generation.
-func (c *Counters) ModelCatchup() { c.modelCatchups.Add(1) }
-
-// Snapshot is a point-in-time copy of the counter set, plus the derived
-// pool hit rate.
+// Snapshot is a point-in-time copy of Counters, field for field, plus
+// the derived pool hit rate.
 type Snapshot struct {
 	SessionsOpened  uint64 `json:"sessions_opened"`
 	SessionsClosed  uint64 `json:"sessions_closed"`
@@ -161,29 +99,16 @@ type Snapshot struct {
 	RateLimitedGlobal uint64 `json:"rate_limited_global"`
 	AuthRejects       uint64 `json:"auth_rejects"`
 
-	// Federation counters: requests forwarded to the owning peer
-	// replica, swaps successfully replicated to a peer, and failed peer
-	// calls.
 	RequestsForwarded uint64 `json:"requests_forwarded"`
 	SwapsReplicated   uint64 `json:"swaps_replicated"`
 	PeerErrors        uint64 `json:"peer_errors"`
 
-	// Dynamic-membership counters: applied membership changes, sessions
-	// handed off to a new owner by a rebalance, and forwards that
-	// arrived on a stale ring generation.
 	Rebalances        uint64 `json:"rebalances"`
 	SessionsHandedOff uint64 `json:"sessions_handed_off"`
 	StaleRoutes       uint64 `json:"stale_routes"`
+	HandoffsStateful  uint64 `json:"handoffs_stateful"`
+	HandoffsCold      uint64 `json:"handoffs_cold"`
 
-	// Stateful-handoff counters, both receiver-side: sessions restored
-	// from a peer's state snapshot, and sessions re-opened cold for an
-	// owned device with no live session.
-	HandoffsStateful uint64 `json:"handoffs_stateful"`
-	HandoffsCold     uint64 `json:"handoffs_cold"`
-
-	// Rollout counters: classification events served by a canary arm,
-	// rollouts promoted to incumbent, rollouts ended in rollback, and
-	// models pulled from a peer by generation catch-up.
 	RolloutCanaryClassifies uint64 `json:"rollout_canary_classifies"`
 	RolloutsPromoted        uint64 `json:"rollouts_promoted"`
 	RolloutsRolledBack      uint64 `json:"rollouts_rolled_back"`
@@ -197,34 +122,34 @@ type Snapshot struct {
 // Snapshot returns a copy of the current counter values.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
-		SessionsOpened:  c.sessionsOpened.Load(),
-		SessionsClosed:  c.sessionsClosed.Load(),
-		SessionsEvicted: c.sessionsEvicted.Load(),
-		BatchesPushed:   c.batchesPushed.Load(),
-		EventsEmitted:   c.eventsEmitted.Load(),
-		ClassifyCalls:   c.classifyCalls.Load(),
-		PoolHits:        c.poolHits.Load(),
-		PoolMisses:      c.poolMisses.Load(),
-		ModelSwaps:      c.modelSwaps.Load(),
+		SessionsOpened:  c.SessionsOpened.Load(),
+		SessionsClosed:  c.SessionsClosed.Load(),
+		SessionsEvicted: c.SessionsEvicted.Load(),
+		BatchesPushed:   c.BatchesPushed.Load(),
+		EventsEmitted:   c.EventsEmitted.Load(),
+		ClassifyCalls:   c.ClassifyCalls.Load(),
+		PoolHits:        c.PoolHits.Load(),
+		PoolMisses:      c.PoolMisses.Load(),
+		ModelSwaps:      c.ModelSwaps.Load(),
 
-		RateLimitedDevice: c.rateLimitedDevice.Load(),
-		RateLimitedGlobal: c.rateLimitedGlobal.Load(),
-		AuthRejects:       c.authRejects.Load(),
+		RateLimitedDevice: c.RateLimitedDevice.Load(),
+		RateLimitedGlobal: c.RateLimitedGlobal.Load(),
+		AuthRejects:       c.AuthRejects.Load(),
 
-		RequestsForwarded: c.requestsForwarded.Load(),
-		SwapsReplicated:   c.swapsReplicated.Load(),
-		PeerErrors:        c.peerErrors.Load(),
+		RequestsForwarded: c.RequestsForwarded.Load(),
+		SwapsReplicated:   c.SwapsReplicated.Load(),
+		PeerErrors:        c.PeerErrors.Load(),
 
-		Rebalances:        c.rebalances.Load(),
-		SessionsHandedOff: c.sessionsHandedOff.Load(),
-		StaleRoutes:       c.staleRoutes.Load(),
-		HandoffsStateful:  c.handoffsStateful.Load(),
-		HandoffsCold:      c.handoffsCold.Load(),
+		Rebalances:        c.Rebalances.Load(),
+		SessionsHandedOff: c.SessionsHandedOff.Load(),
+		StaleRoutes:       c.StaleRoutes.Load(),
+		HandoffsStateful:  c.HandoffsStateful.Load(),
+		HandoffsCold:      c.HandoffsCold.Load(),
 
-		RolloutCanaryClassifies: c.rolloutCanaryClassifies.Load(),
-		RolloutsPromoted:        c.rolloutsPromoted.Load(),
-		RolloutsRolledBack:      c.rolloutsRolledBack.Load(),
-		ModelCatchups:           c.modelCatchups.Load(),
+		RolloutCanaryClassifies: c.RolloutCanaryClassifies.Load(),
+		RolloutsPromoted:        c.RolloutsPromoted.Load(),
+		RolloutsRolledBack:      c.RolloutsRolledBack.Load(),
+		ModelCatchups:           c.ModelCatchups.Load(),
 	}
 	if total := s.PoolHits + s.PoolMisses; total > 0 {
 		s.PoolHitRate = float64(s.PoolHits) / float64(total)

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,22 +17,18 @@ func TestCountersZeroValue(t *testing.T) {
 
 func TestCountersAccumulate(t *testing.T) {
 	var c Counters
-	c.SessionOpened()
-	c.SessionOpened()
-	c.SessionClosed()
-	c.SessionEvicted()
-	c.BatchPushed(3)
-	c.BatchPushed(0) // a batch too short to complete a tick
-	c.ClassifyCall()
-	c.PoolHit()
-	c.PoolHit()
-	c.PoolHit()
-	c.PoolMiss()
-	c.ModelSwap()
-	c.RequestForwarded()
-	c.RequestForwarded()
-	c.SwapReplicated()
-	c.PeerError()
+	c.SessionsOpened.Add(2)
+	c.SessionsClosed.Add(1)
+	c.SessionsEvicted.Add(1)
+	c.BatchesPushed.Add(2) // one with three events, one too short to complete a tick
+	c.EventsEmitted.Add(3)
+	c.ClassifyCalls.Add(1)
+	c.PoolHits.Add(3)
+	c.PoolMisses.Add(1)
+	c.ModelSwaps.Add(1)
+	c.RequestsForwarded.Add(2)
+	c.SwapsReplicated.Add(1)
+	c.PeerErrors.Add(1)
 
 	s := c.Snapshot()
 	want := Snapshot{
@@ -65,10 +63,11 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.SessionOpened()
-				c.BatchPushed(2)
-				c.PoolHit()
-				c.PoolMiss()
+				c.SessionsOpened.Add(1)
+				c.BatchesPushed.Add(1)
+				c.EventsEmitted.Add(2)
+				c.PoolHits.Add(1)
+				c.PoolMisses.Add(1)
 				_ = c.Snapshot() // concurrent readers are allowed
 			}
 		}()
@@ -92,7 +91,34 @@ func BenchmarkCounterAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			c.BatchPushed(1)
+			c.BatchesPushed.Add(1)
+			c.EventsEmitted.Add(1)
 		}
 	})
+}
+
+// TestSnapshotCopiesEveryCounter gives every Counters field a distinct
+// value and checks Snapshot carries it into the Snapshot field of the
+// same name, so a counter added to one struct but not the other, or
+// copied into the wrong field, fails here.
+func TestSnapshotCopiesEveryCounter(t *testing.T) {
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).Addr().Interface().(*atomic.Uint64).Store(uint64(i + 1))
+	}
+	sv := reflect.ValueOf(c.Snapshot())
+	for i := 0; i < cv.NumField(); i++ {
+		name := cv.Type().Field(i).Name
+		f := sv.FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("Snapshot has no field %s", name)
+		}
+		if got := f.Uint(); got != uint64(i+1) {
+			t.Errorf("Snapshot.%s = %d, want %d", name, got, i+1)
+		}
+	}
+	if n := sv.NumField() - 1; n != cv.NumField() { // less PoolHitRate
+		t.Fatalf("Snapshot has %d counter fields, Counters %d", n, cv.NumField())
+	}
 }

@@ -8,7 +8,9 @@
 #      a page that was moved or never written;
 #   3. every Prometheus series the code emits must be documented in
 #      docs/operations.md or docs/observability.md, so a new metric
-#      cannot ship without its reference entry;
+#      cannot ship without its reference entry, and every series those
+#      pages name must still be emitted, so a removed or renamed metric
+#      cannot linger in the reference;
 #   4. docs/streaming.md (the normative ADSP wire reference) must list
 #      every frame type and close code internal/stream/frame.go defines
 #      with its wire value, and must not cite a constant the code has
@@ -72,6 +74,20 @@ while IFS= read -r s; do
 done <<< "$series"
 if [ "$fail" -eq 0 ]; then
     echo "check-docs: $(echo "$series" | wc -l | tr -d ' ') emitted metric series documented"
+fi
+# The reverse: every series the reference pages name (histogram sample
+# suffixes folded into their family; a name ending in "_", as in
+# adasense_stream_*, is a family wildcard) must be emitted by the code.
+documented=$(grep -ohE 'adasense_[a-z0-9_]+' docs/operations.md docs/observability.md |
+    grep -v '_$' | sed -E 's/_(bucket|sum|count)$//' | sort -u)
+while IFS= read -r s; do
+    if ! grep -qxF "$s" <<< "$series"; then
+        echo "check-docs: documented series $s is not emitted by any non-test code" >&2
+        fail=1
+    fi
+done <<< "$documented"
+if [ "$fail" -eq 0 ]; then
+    echo "check-docs: $(echo "$documented" | wc -l | tr -d ' ') documented metric series emitted"
 fi
 
 # --- ADSP wire-protocol constants --------------------------------------

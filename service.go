@@ -213,11 +213,11 @@ func (svc *Service) PowerModel() PowerModel { return svc.cfg.power }
 // mismatch after the System was mutated behind the service's back.
 func (svc *Service) acquire() (*Pipeline, error) {
 	if p, _ := svc.pipes.Get().(*Pipeline); p != nil {
-		svc.tel.PoolHit()
+		svc.tel.PoolHits.Add(1)
 		svc.instrument(p)
 		return p, nil
 	}
-	svc.tel.PoolMiss()
+	svc.tel.PoolMisses.Add(1)
 	p, err := svc.sys.NewPipeline()
 	if err != nil {
 		return nil, fmt.Errorf("adasense: building pipeline for shared classifier: %w", err)
@@ -258,7 +258,7 @@ func (svc *Service) Classify(b *Batch) (Classification, error) {
 		return Classification{}, err
 	}
 	defer svc.release(p)
-	svc.tel.ClassifyCall()
+	svc.tel.ClassifyCalls.Add(1)
 	return p.Classify(b), nil
 }
 
@@ -321,7 +321,10 @@ func (s *Session) Push(b *Batch) ([]Event, error) {
 	// is charged at that configuration.
 	s.elapsedSec += b.Duration()
 	s.chargeUC += s.svc.cfg.power.ChargeUC(b.Config, b.Duration())
-	s.svc.tel.BatchPushed(len(events))
+	s.svc.tel.BatchesPushed.Add(1)
+	if len(events) > 0 {
+		s.svc.tel.EventsEmitted.Add(uint64(len(events)))
+	}
 	return events, nil
 }
 
