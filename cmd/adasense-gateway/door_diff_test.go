@@ -71,7 +71,7 @@ func (d *streamDoor) push(b *adasense.Batch) ([]doorEvent, adasense.Config, erro
 
 // TestDoorsAgree is the cross-door differential test: the same seeded
 // device trajectory pushed through HTTP/JSON, ADSP over raw TCP and
-// ADSP over WebSocket — each a fresh device on one gateway running the
+// ADSP over the HTTP upgrade — each a fresh device on one gateway running the
 // adaptive SPOT controller — must produce identical events and an
 // identical directed config after every push. Each door samples its
 // next batch at the config it was last directed to, so one divergence
@@ -97,7 +97,7 @@ func TestDoorsAgree(t *testing.T) {
 	}{
 		{"http", "diff-http", &httpDoor{t: t, base: ts.URL, device: "diff-http", cfg: httpCfg}},
 		{"adsp-tcp", "diff-tcp", &streamDoor{dialDoor(t, tcp, "diff-tcp")}},
-		{"adsp-ws", "diff-ws", &streamDoor{dialDoor(t, ts.URL, "diff-ws")}},
+		{"adsp-upgrade", "diff-upgrade", &streamDoor{dialDoor(t, ts.URL, "diff-upgrade")}},
 	}
 
 	sched, err := adasense.NewSchedule([]adasense.Segment{

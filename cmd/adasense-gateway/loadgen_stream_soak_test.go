@@ -20,7 +20,7 @@ import (
 
 // TestLoadgenSoakStream is the streaming counterpart of the churn soak
 // (run under -race in CI): a mixed-cohort fleet holds persistent ADSP
-// connections — half over the WebSocket upgrade, half over raw TCP —
+// connections — two thirds over the HTTP upgrade, one third over raw TCP —
 // against a three-replica cluster while a membership change removes a
 // replica mid-run. Every device entering at the wrong replica is
 // redirected at the door and follows; devices whose owner leaves are
@@ -88,9 +88,9 @@ func TestLoadgenSoakStream(t *testing.T) {
 		go h.stream.Serve(ln)
 	}
 
-	// Targets alternate transports: ws upgrades on two replicas' HTTP
-	// listeners and the raw framing on the third's -stream-addr
-	// equivalent. Round-robin device assignment spreads the fleet over
+	// Targets alternate entrances: the HTTP upgrade on two replicas'
+	// HTTP listeners and the raw-TCP listener on the third's
+	// -stream-addr equivalent. Round-robin device assignment spreads the fleet over
 	// all three, so redirect-following is exercised from the first dial.
 	runner, err := loadgen.NewRunner(loadgen.Config{
 		Targets:     []string{servers["gw-a"].URL, tcpTargets[1], servers["gw-c"].URL},

@@ -86,7 +86,7 @@
 // private. See docs/observability.md.
 //
 // Besides HTTP/JSON, devices can hold one persistent binary streaming
-// connection each (the ADSP protocol): a WebSocket upgraded at
+// connection each (the ADSP protocol): an HTTP/1.1 upgrade at
 // GET /v1/stream, or raw TCP on -stream-addr. Batches push as compact
 // binary frames, classification events and server-directed sensor
 // reconfigurations flow back on the same connection, and on a
@@ -178,7 +178,7 @@ func main() {
 		"separate listen address for net/http/pprof (empty = disabled; keep it private)")
 	flag.StringVar(&cfg.streamAddr, "stream-addr", "",
 		"listen address for raw-TCP ADSP streaming ingest "+
-			"(empty = disabled; the WebSocket transport at GET /v1/stream is always on)")
+			"(empty = disabled; the HTTP upgrade at GET /v1/stream is always on)")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {

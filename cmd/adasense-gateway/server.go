@@ -96,7 +96,7 @@ type server struct {
 	rolloutCfg adasense.RolloutConfig
 
 	// stream is the ADSP streaming ingress sharing this gateway: the
-	// GET /v1/stream WebSocket upgrade plus the raw-TCP listener main
+	// GET /v1/stream HTTP upgrade plus the raw-TCP listener main
 	// starts behind -stream-addr. See stream.go and docs/streaming.md.
 	stream *streamServer
 
@@ -125,7 +125,7 @@ type server struct {
 //	POST   /v1/rollout/stage         replica-to-replica stage transition
 //	GET    /v1/session-state/{id}    replica-to-replica session snapshot (ADSS)
 //	PUT    /v1/session-state/{id}    replica-to-replica session restore (ADSS)
-//	GET    /v1/stream                ADSP streaming ingest (WebSocket upgrade)
+//	GET    /v1/stream                ADSP streaming ingest (HTTP/1.1 Upgrade: adsp)
 //	GET    /v1/debug/requests        flight recorder (recent + slow/error traces)
 //	GET    /metrics                  Prometheus text exposition
 //	GET    /healthz                  liveness/readiness probe
@@ -171,8 +171,8 @@ func newServer(gw *adasense.Gateway, cluster *adasense.Cluster) *server {
 	s.mux.HandleFunc("PUT /v1/session-state/{id}", s.observe(telemetry.RouteState, s.auth(s.handleStatePut)))
 	// The stream route runs outside the auth and observe middlewares:
 	// its auth is in-band (the hello frame, shared with raw TCP) and
-	// its connection outlives any per-request trace — see handleWS.
-	s.mux.HandleFunc("GET /v1/stream", s.stream.handleWS)
+	// its connection outlives any per-request trace — see handleUpgrade.
+	s.mux.HandleFunc("GET /v1/stream", s.stream.handleUpgrade)
 	s.mux.HandleFunc("GET /v1/debug/requests", s.auth(s.handleDebugRequests))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)

@@ -15,20 +15,21 @@ import (
 )
 
 // streamServer is the ADSP streaming ingress over the same gateway the
-// HTTP surface serves: one persistent connection per device, carried
-// over a WebSocket upgraded at GET /v1/stream or over the raw TCP
-// listener behind -stream-addr (both transports run the identical
-// session loop — ADSP frames are self-delimiting, so the loop only
-// needs an ordered byte stream).
+// HTTP surface serves: one persistent connection per device, entering
+// by an HTTP/1.1 upgrade at GET /v1/stream or at the raw TCP listener
+// behind -stream-addr. Past the upgrade both carry the same bytes, so
+// ServeConn serves either connection as it is.
 //
 // Per connection the steady state allocates nothing: frames decode
 // through one stream.Reader into reused message structs, replies are
 // built in place in a reused write buffer, and the push closure is
 // created once at session bind. Pushes from all connections funnel
-// through one admission batcher whose coalescing keeps the
-// feature-extraction working set hot under concurrency; its queue wait
-// is the "admit" stage of the latency histograms, frame-payload decode
-// is the "decode" stage. docs/streaming.md is the protocol reference.
+// through one admission batcher, which perfbench's traced run saw
+// coalesce 4×10⁻⁶ of pushes — no measured benefit; it stays only until
+// a benchmark change retires stream.admit_wait_us and
+// stream.coalesced_ratio. Its queue wait is the "admit" stage of the
+// latency histograms, frame-payload decode is the "decode" stage.
+// docs/streaming.md is the protocol reference.
 type streamServer struct {
 	s       *server
 	tel     *telemetry.StreamCounters
@@ -71,14 +72,15 @@ func newStreamServer(s *server) *streamServer {
 	return ss
 }
 
-// handleWS is the GET /v1/stream route: WebSocket upgrade, then the
-// ADSP session loop on the hijacked connection. The route skips the
-// auth and observe middlewares deliberately — auth is in-band (the
-// hello frame carries the bearer token, shared with the raw-TCP
-// transport), and the request trace/latency machinery is per-request
-// where a stream is one connection serving thousands of pushes; the
-// stream's own counters and stage histograms cover it instead.
-func (ss *streamServer) handleWS(w http.ResponseWriter, r *http.Request) {
+// handleUpgrade is the GET /v1/stream route: the HTTP/1.1 upgrade to
+// ADSP, then the session loop on the hijacked connection. The route
+// skips the auth and observe middlewares deliberately — auth is
+// in-band (the hello frame carries the bearer token, shared with the
+// raw-TCP listener), and the request trace/latency machinery is
+// per-request where a stream is one connection serving thousands of
+// pushes; the stream's own counters and stage histograms cover it
+// instead.
+func (ss *streamServer) handleUpgrade(w http.ResponseWriter, r *http.Request) {
 	conn, err := stream.UpgradeHTTP(w, r)
 	if err != nil {
 		return // UpgradeHTTP already answered the request
@@ -301,7 +303,7 @@ func (ss *streamServer) serve(c *streamConn) {
 				lastCfg = cfg
 			}
 		case stream.FramePong:
-			// Unsolicited pongs are permitted (RFC 6455 spirit).
+			// Unsolicited pongs are permitted (a one-way heartbeat).
 		case stream.FrameGoodbye:
 			return
 		default:

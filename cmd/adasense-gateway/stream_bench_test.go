@@ -110,7 +110,7 @@ func benchStreamPush(b *testing.B, target string) {
 	}
 }
 
-// BenchmarkStreamPushADSP drives the WebSocket-upgraded stream at
+// BenchmarkStreamPushADSP drives the stream upgraded from HTTP at
 // GET /v1/stream.
 func BenchmarkStreamPushADSP(b *testing.B) {
 	ts, _ := benchServer(b)

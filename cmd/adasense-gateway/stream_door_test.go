@@ -15,7 +15,7 @@ import (
 )
 
 // newDoorServer starts one standalone server (no cluster) with both
-// stream transports live: the WebSocket upgrade behind the returned
+// stream entrances live: the HTTP upgrade behind the returned
 // httptest server's URL and a raw-TCP listener at the returned
 // "tcp://" target. Sessions are pinned at the top configuration unless
 // opts install another controller.

@@ -56,7 +56,7 @@ func devicesOwnedBy(t *testing.T, c *adasense.Cluster, owner, prefix string, n i
 // (rounds are sequential), so no lock is needed.
 type streamDev struct {
 	id        string
-	target    string // current dial target (ws base URL or tcp://addr)
+	target    string // current dial target (HTTP base URL or tcp://addr)
 	tcp       bool   // prefer the raw-TCP transport when retargeting
 	c         *stream.Client
 	acked     int
@@ -64,7 +64,7 @@ type streamDev struct {
 }
 
 // TestStreamFleetRebalance is the streaming ingress end-to-end test: a
-// mixed ws/raw-TCP device fleet holds persistent ADSP connections
+// mixed upgrade/raw-TCP device fleet holds persistent ADSP connections
 // through a two-replica cluster, keeps pushing across a membership
 // change that moves every device to one survivor, and finally watches
 // the survivor drain. The invariants: misrouted connections are
@@ -79,7 +79,7 @@ func TestStreamFleetRebalance(t *testing.T) {
 	)
 
 	// Two replicas discovered through a polled membership file, each
-	// serving the HTTP surface (WebSocket upgrade included) plus a raw
+	// serving the HTTP surface (the ADSP upgrade included) plus a raw
 	// ADSP listener — the -stream-addr path, minus the flag plumbing.
 	names := []string{"gw-a", "gw-b"}
 	servers := make(map[string]*httptest.Server, len(names))
@@ -153,7 +153,7 @@ func TestStreamFleetRebalance(t *testing.T) {
 	mkDev := func(id, owner string, i int) {
 		d := &streamDev{id: id, tcp: i%2 == 1}
 		entry := owner
-		if i%2 == 0 { // every ws device starts at the wrong replica
+		if i%2 == 0 { // every upgrade device starts at the wrong replica
 			if entry = "gw-a"; owner == "gw-a" {
 				entry = "gw-b"
 			}

@@ -21,8 +21,8 @@
 // the gateway directs — the paper's adaptive loop, at fleet scale.
 //
 // -transport stream replaces the JSON request per push with one
-// persistent ADSP connection per device (WebSocket at /v1/stream, or
-// the raw framing for tcp:// targets) — see docs/streaming.md. Redirect
+// persistent ADSP connection per device (an HTTP upgrade at /v1/stream
+// for http:// targets, the raw-TCP listener for tcp:// targets) — see docs/streaming.md. Redirect
 // goodbyes are followed to the owning replica automatically.
 //
 // A ramp like -ramp 50:30s,100:30s,200:30s runs phases at increasing

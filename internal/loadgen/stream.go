@@ -22,9 +22,10 @@ import (
 //	unauthorized                   -> 401
 //	other goodbye                  -> 500
 //
-// A redirect goodbye retargets d.streamTarget at the owner's URL (the
-// ws transport — a raw-TCP device falls back to the advertised HTTP
-// base, since the owner's -stream-addr is not in the frame).
+// A redirect goodbye retargets d.streamTarget at the owner's URL, its
+// HTTP base, where the device re-enters by upgrade — a raw-TCP device
+// moves to the upgrade too, since the owner's -stream-addr is not in
+// the frame.
 type streamTransport struct {
 	token string
 }

@@ -12,8 +12,9 @@ const (
 	// per push. The default.
 	TransportHTTP = "http"
 	// TransportStream drives the ADSP streaming ingress: one persistent
-	// binary connection per device (WebSocket at /v1/stream for http://
-	// targets, raw framing for tcp:// targets), pushes as batch frames.
+	// binary connection per device (an HTTP upgrade at /v1/stream for
+	// http:// targets, the raw-TCP listener for tcp:// targets), pushes
+	// as batch frames.
 	TransportStream = "stream"
 )
 

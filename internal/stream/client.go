@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/url"
 	"strings"
 
 	"adasense/internal/sensor"
@@ -65,15 +64,20 @@ func (e *GoodbyeError) Error() string {
 
 // Dial connects to an ADSP endpoint and completes the hello/welcome
 // handshake for the given device. The target selects the transport by
-// scheme: "ws://" or "http://" dials the WebSocket upgrade at
+// scheme: "http://" upgrades the gateway's HTTP port to ADSP at
 // /v1/stream (a path already present in the URL is kept), "tcp://"
-// dials the gateway's raw -stream-addr listener. Auth is in-band: the
-// bearer token rides in the hello frame.
+// dials the gateway's raw -stream-addr listener. Both carry the same
+// bytes. Auth is in-band: the bearer token rides in the hello frame.
 //
-// A refusal by goodbye frame (draining, unauthorized, redirect,
-// capacity) returns a *GoodbyeError with the connection already
-// closed.
+// A device id or token longer than the wire's 1024-byte string bound
+// is an error before anything is dialed. A refusal by goodbye frame
+// (draining, unauthorized, redirect, capacity) returns a *GoodbyeError
+// with the connection already closed.
 func Dial(ctx context.Context, target, device, token string) (*Client, error) {
+	if len(device) > maxStringBytes || len(token) > maxStringBytes {
+		return nil, fmt.Errorf("stream: device id (%d bytes) or token (%d bytes) exceeds the %d-byte limit",
+			len(device), len(token), maxStringBytes)
+	}
 	rwc, err := dialTransport(ctx, target)
 	if err != nil {
 		return nil, err
@@ -130,14 +134,7 @@ func dialTransport(ctx context.Context, target string) (io.ReadWriteCloser, erro
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", rest)
 	}
-	u, err := url.Parse(target)
-	if err != nil {
-		return nil, fmt.Errorf("stream: dial %q: %w", target, err)
-	}
-	if u.Path == "" || u.Path == "/" {
-		u.Path = "/v1/stream"
-	}
-	return DialWS(ctx, u.String())
+	return dialUpgrade(ctx, target)
 }
 
 // Welcome returns the handshake's welcome message.
@@ -167,7 +164,14 @@ func (c *Client) writeFrame(typ FrameType, payload []byte) error {
 //     redirect, session closed); re-dial — at Redirect.ReplicaURL if
 //     set — and resend the batch.
 //   - anything else: transport failure; the connection is unusable.
+//
+// A batch that is empty, ragged or larger than one frame carries is
+// refused before anything is written; the connection stays usable.
 func (c *Client) Push(b *sensor.Batch) (*EventsMsg, error) {
+	if n := len(b.X); n == 0 || n > maxBatchSamples || len(b.Y) != n || len(b.Z) != n {
+		return nil, fmt.Errorf("stream: batch of %d/%d/%d samples per axis (want equal lengths in 1..%d)",
+			len(b.X), len(b.Y), len(b.Z), maxBatchSamples)
+	}
 	c.seq++
 	m := BatchMsg{Seq: c.seq, Config: b.Config, StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}
 	c.wbuf = BeginFrame(c.wbuf[:0], FrameBatch)

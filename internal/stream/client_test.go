@@ -3,8 +3,8 @@ package stream
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,4 +238,73 @@ func TestDialUnsupportedTarget(t *testing.T) {
 	}
 }
 
-var _ io.ReadWriteCloser = (*WSConn)(nil)
+// TestClientPushRefusesBadBatch pins the batch bound at what one frame
+// carries: 43689 samples per axis encode to a 1048568-byte payload (a
+// 1048584-byte frame) and push; one more sample, an empty batch or ragged axes are refused
+// before anything is written, and the connection stays usable.
+func TestClientPushRefusesBadBatch(t *testing.T) {
+	if maxBatchSamples != 43689 {
+		t.Fatalf("maxBatchSamples = %d, want 43689", maxBatchSamples)
+	}
+	seqs := make(chan uint64, 4)
+	target := fakeServer(t, Welcome{Config: testCfg}, func(conn net.Conn, rd *Reader) {
+		var batch BatchMsg
+		for {
+			f, err := rd.Next()
+			if err != nil || f.Type != FrameBatch {
+				return
+			}
+			if err := batch.Decode(f.Payload); err != nil {
+				t.Errorf("server: %s frame: %v", f.Type, err)
+				return
+			}
+			seqs <- batch.Seq
+			conn.Write(AppendFrame(nil, FrameEvents, AppendEvents(nil, &EventsMsg{Seq: batch.Seq, Config: testCfg})))
+		}
+	})
+	c := dialTest(t, target)
+	axis := func(n int) []float64 { return make([]float64, n) }
+	for _, tc := range []struct {
+		name    string
+		x, y, z int
+	}{
+		{"empty", 0, 0, 0},
+		{"one over a frame", maxBatchSamples + 1, maxBatchSamples + 1, maxBatchSamples + 1},
+		{"ragged", 3, 3, 2},
+	} {
+		b := &sensor.Batch{Config: testCfg, X: axis(tc.x), Y: axis(tc.y), Z: axis(tc.z)}
+		if _, err := c.Push(b); err == nil || !strings.Contains(err.Error(), "samples per axis") {
+			t.Errorf("%s: Push err = %v, want a batch refusal", tc.name, err)
+		}
+	}
+	full := &sensor.Batch{Config: testCfg, X: axis(maxBatchSamples), Y: axis(maxBatchSamples), Z: axis(maxBatchSamples)}
+	if n := len(AppendBatch(nil, &BatchMsg{X: full.X, Y: full.Y, Z: full.Z})); n != 1048568 || n+24 <= MaxFramePayload {
+		t.Fatalf("full batch payload = %d bytes, want 1048568 with no room for a sample more under %d", n, MaxFramePayload)
+	}
+	if _, err := c.Push(full); err != nil {
+		t.Fatalf("Push of %d samples: %v", maxBatchSamples, err)
+	}
+	if seq := <-seqs; seq != 1 {
+		t.Fatalf("first batch on the wire has seq %d, want 1 (refusals must not consume one)", seq)
+	}
+}
+
+func TestDialRefusesOversizedStrings(t *testing.T) {
+	long := strings.Repeat("x", maxStringBytes+1)
+	for _, tc := range []struct{ name, device, token string }{
+		{"device id", long, "t"},
+		{"token", "d", long},
+	} {
+		// The target would refuse a connection; the check must come first.
+		_, err := Dial(context.Background(), "tcp://127.0.0.1:1", tc.device, tc.token)
+		if err == nil || !strings.Contains(err.Error(), "-byte limit") {
+			t.Errorf("%s of %d bytes: Dial err = %v, want a length refusal", tc.name, len(long), err)
+		}
+	}
+	// The bound itself is legal.
+	c, err := Dial(context.Background(), fakeServer(t, Welcome{Config: testCfg}, nil), long[:maxStringBytes], long[:maxStringBytes])
+	if err != nil {
+		t.Fatalf("Dial with %d-byte id and token: %v", maxStringBytes, err)
+	}
+	c.Close()
+}

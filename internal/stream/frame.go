@@ -1,8 +1,8 @@
 // Package stream implements ADSP, the adasense streaming protocol: a
 // versioned, length-prefixed, CRC-protected binary frame container
-// carried over one persistent connection per device (WebSocket or raw
-// TCP — the framing is transport-agnostic, any ordered byte stream
-// works). It replaces the per-batch HTTP/JSON request with a single
+// carried over one persistent connection per device (raw TCP, or the
+// gateway's HTTP port after an HTTP/1.1 upgrade — the framing is
+// transport-agnostic, any ordered byte stream works). It replaces the per-batch HTTP/JSON request with a single
 // long-lived push channel: the device sends sensor-batch frames, the
 // gateway answers with classification events and server-pushed sensor
 // reconfigurations (the paper's adaptation loop, without polling), and
@@ -67,8 +67,8 @@ type FrameType uint8
 // The ADSP frame types. The zero value is invalid on the wire.
 const (
 	// FrameHello is the connection's first client frame: device id plus
-	// bearer token (auth is in-band so WebSocket and raw TCP share one
-	// handshake).
+	// bearer token (auth is in-band so the HTTP upgrade and raw TCP
+	// share one handshake).
 	FrameHello FrameType = 0x01
 	// FrameWelcome accepts a hello: the sensor config the device must
 	// sample at, the serving model generation, and whether the session

@@ -26,8 +26,10 @@ const (
 	// tokens, replica ids and URLs, error messages).
 	maxStringBytes = 1024
 	// maxBatchSamples bounds one pushed batch's per-axis sample count
-	// (65536 samples ≈ 131 s at the densest 500 Hz config).
-	maxBatchSamples = 1 << 16
+	// to what one frame carries: a batch payload is a 32-byte header
+	// plus 24 bytes per sample, so (MaxFramePayload − 32) / 24 = 43689
+	// (≈ 87 s at the densest 500 Hz config).
+	maxBatchSamples = (MaxFramePayload - batchHeaderLen) / 24
 	// maxEvents bounds one acknowledgement's classification event count.
 	maxEvents = 1 << 12
 )
@@ -35,6 +37,10 @@ const (
 // configWireLen is the encoded size of one sensor.Config: float64
 // frequency bits plus uint32 averaging window.
 const configWireLen = 12
+
+// batchHeaderLen is the encoded size of a batch payload before its
+// samples: seq, config, start time and the per-axis sample count.
+const batchHeaderLen = 8 + configWireLen + 8 + 4
 
 var errPayload = errors.New("stream: malformed payload")
 
@@ -238,8 +244,9 @@ type BatchMsg struct {
 }
 
 // AppendBatch appends a batch payload. The three axes must have equal
-// length ≤ maxBatchSamples; longer batches must be split by the sender
-// (the decoder refuses them).
+// length in 1..maxBatchSamples, which Client.Push checks; longer
+// batches must be split by the sender (the decoder refuses them, and
+// EndFrame panics on the oversized payload).
 func AppendBatch(dst []byte, m *BatchMsg) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
 	dst = AppendConfig(dst, m.Config)

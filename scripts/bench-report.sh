@@ -37,9 +37,11 @@ render() {
     echo
     echo "The \`BenchmarkStreamPush*\` rows compare one sensor-batch push over"
     echo "HTTP/JSON against the same gateway's ADSP streaming ingress"
-    echo "(WebSocket and raw TCP, [streaming.md](streaming.md)): the streaming"
+    echo "(HTTP upgrade and raw TCP, [streaming.md](streaming.md)): the streaming"
     echo "path's per-push speedup — ≥5× is the capacity contract — reads"
-    echo "directly off their ns/op ratio."
+    echo "directly off their ns/op ratio. Snapshots up to BENCH_PR10 measured"
+    echo "\`BenchmarkStreamPushADSP\` over a WebSocket framing layer since"
+    echo "replaced by a plain HTTP/1.1 upgrade that carries the raw frames."
     echo
     echo "| snapshot | commit date | goos/goarch |"
     echo "|---|---|---|"

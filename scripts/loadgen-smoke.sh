@@ -83,7 +83,7 @@ echo "loadgen-smoke: OK ($(jq -c '.routes.push' "$report"))"
 # Second strict pass over the ADSP streaming ingress: one persistent
 # binary connection per device instead of a request per push. Targets
 # mix the transports deliberately — gw-a's raw -stream-addr listener and
-# gw-b's WebSocket upgrade — and devices entering at the wrong replica
+# gw-b's HTTP upgrade at /v1/stream — and devices entering at the wrong replica
 # must follow the redirect to their owner for the run to stay clean.
 echo "loadgen-smoke: driving the fleet over ADSP streams"
 stream_report="$workdir/report-stream.json"
