@@ -70,16 +70,18 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-func (b *batchJSON) toBatch() (*adasense.Batch, error) {
+// toBatch validates b into dst, which shares b's sample slices.
+func (b *batchJSON) toBatch(dst *adasense.Batch) error {
 	cfg, err := adasense.ParseConfig(b.Config)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(b.X) == 0 || len(b.X) != len(b.Y) || len(b.X) != len(b.Z) {
-		return nil, fmt.Errorf("batch needs equal-length non-empty x/y/z (got %d/%d/%d)",
+		return fmt.Errorf("batch needs equal-length non-empty x/y/z (got %d/%d/%d)",
 			len(b.X), len(b.Y), len(b.Z))
 	}
-	return &adasense.Batch{Config: cfg, StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}, nil
+	*dst = adasense.Batch{Config: cfg, StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}
+	return nil
 }
 
 // server is the HTTP front end over one Gateway, optionally federated
@@ -289,7 +291,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError maps gateway errors onto HTTP statuses.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, adasense.ErrSessionNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, adasense.ErrSessionExists):
@@ -336,9 +341,14 @@ func (s *server) session(w http.ResponseWriter, r *http.Request) (*adasense.Gate
 	return sess, true
 }
 
-// decodeJSON decodes a size-capped JSON request body.
+// decodeJSON decodes a size-capped JSON request body holding exactly
+// one value; a body past maxJSONBytes fails with *http.MaxBytesError.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBytes)).Decode(v)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJSONBytes))
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, v)
 }
 
 // handleOpen routes by the device id in the request body, so it reads
@@ -419,12 +429,9 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var bj batchJSON
-	if err := decodeJSON(w, r, &bj); err != nil {
-		writeError(w, fmt.Errorf("decoding batch: %w", err))
-		return
-	}
-	batch, err := bj.toBatch()
+	sc := getBatchScratch()
+	defer putBatchScratch(sc) // after Push has returned and the reply is written
+	batch, err := sc.readBatch(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -436,16 +443,14 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp := pushResponse{Events: make([]eventJSON, len(events)), Config: sess.Config().Name()}
-	for i, ev := range events {
-		resp.Events[i] = eventJSON{
-			Activity:      ev.Classification.Activity.String(),
-			Confidence:    ev.Classification.Confidence,
-			Config:        ev.Config.Name(),
-			ConfigChanged: ev.ConfigChanged,
-		}
+	cfg := sess.Config()
+	out, ok := appendPushReply(sc.out[:0], events, cfg)
+	if !ok {
+		writeJSON(w, http.StatusOK, newPushResponse(events, cfg))
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.out = out
+	writeReply(w, out)
 }
 
 func (s *server) handleMigrate(w http.ResponseWriter, r *http.Request) {
@@ -469,12 +474,9 @@ func (s *server) handleClose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var bj batchJSON
-	if err := decodeJSON(w, r, &bj); err != nil {
-		writeError(w, fmt.Errorf("decoding batch: %w", err))
-		return
-	}
-	batch, err := bj.toBatch()
+	sc := getBatchScratch()
+	defer putBatchScratch(sc) // after Classify has returned and the reply is written
+	batch, err := sc.readBatch(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -486,10 +488,13 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, classifyResponse{
-		Activity:   cls.Activity.String(),
-		Confidence: cls.Confidence,
-	})
+	out, ok := appendClassifyReply(sc.out[:0], cls)
+	if !ok {
+		writeJSON(w, http.StatusOK, classifyResponse{Activity: cls.Activity.String(), Confidence: cls.Confidence})
+		return
+	}
+	sc.out = out
+	writeReply(w, out)
 }
 
 // swapReplicaJSON is one replica's outcome in a federated model push or

@@ -36,9 +36,14 @@ type Config struct {
 
 // Name returns the paper's label for the configuration, e.g. "F100_A128"
 // or "F12.5_A16".
-func (c Config) Name() string {
-	f := strconv.FormatFloat(c.FreqHz, 'f', -1, 64)
-	return fmt.Sprintf("F%s_A%d", f, c.AvgWindow)
+func (c Config) Name() string { return string(c.AppendName(nil)) }
+
+// AppendName appends Name's label to dst.
+func (c Config) AppendName(dst []byte) []byte {
+	dst = append(dst, 'F')
+	dst = strconv.AppendFloat(dst, c.FreqHz, 'f', -1, 64)
+	dst = append(dst, "_A"...)
+	return strconv.AppendInt(dst, int64(c.AvgWindow), 10)
 }
 
 // ParseConfig parses a label in the Name format.
