@@ -282,10 +282,20 @@ func (s *server) forward(w http.ResponseWriter, r *http.Request, to adasense.Rep
 	}
 }
 
+// writeJSON answers status with v as its JSON body. It encodes v before
+// it writes the header, so a value encoding/json refuses (a NaN
+// confidence from a batch of huge samples) answers 500 with a JSON error
+// body rather than status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		json.NewEncoder(&body).Encode(errorJSON{Error: "encoding reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body.Bytes())
 }
 
 // writeError maps gateway errors onto HTTP statuses.

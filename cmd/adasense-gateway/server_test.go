@@ -519,3 +519,24 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("closed total = %v, want 3", m["adasense_sessions_closed_total"])
 	}
 }
+
+// TestServerUnencodableReply: samples of ±1e300 are finite, so they pass
+// the door, but they classify with a NaN confidence, which JSON cannot
+// carry. Push and classify must answer 500 with a JSON error body, not
+// 200 with an empty one.
+func TestServerUnencodableReply(t *testing.T) {
+	ts, _ := newTestServer(t)
+	if code := do(t, "POST", ts.URL+"/v1/sessions", map[string]string{"id": "huge"}, nil); code != http.StatusCreated {
+		t.Fatalf("open = %d", code)
+	}
+	batch := wireBatch(t, 2)
+	for i := range batch.X {
+		batch.X[i], batch.Y[i] = 1e300, -1e300
+	}
+	for _, path := range []string{"/v1/sessions/huge/push", "/v1/classify"} {
+		var e errorJSON
+		if code := do(t, "POST", ts.URL+path, batch, &e); code != http.StatusInternalServerError || !strings.Contains(e.Error, "NaN") {
+			t.Errorf("POST %s with ±1e300 samples = %d %+v, want 500 with an error naming NaN", path, code, e)
+		}
+	}
+}

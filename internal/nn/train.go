@@ -87,6 +87,7 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 	}
 	cfg = cfg.withDefaults()
 	setStandardization(net, X)
+	xs := standardize(net, X)
 
 	gW1 := make([]float64, len(net.W1))
 	gB1 := make([]float64, len(net.B1))
@@ -99,7 +100,6 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 
 	hidden := make([]float64, net.Hidden)
 	probs := make([]float64, net.Out)
-	xStd := make([]float64, net.In)
 	dHidden := make([]float64, net.Hidden)
 
 	var res TrainResult
@@ -122,22 +122,8 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 			zero(gW2)
 			zero(gB2)
 			for _, idx := range batch {
-				x, y := X[idx], Y[idx]
-				for i := range xStd {
-					xStd[i] = (x[i] - net.MeanIn[i]) / net.StdIn[i]
-				}
-				// Forward on standardized input (inline to reuse xStd).
-				for h := 0; h < net.Hidden; h++ {
-					sum := net.B1[h]
-					row := net.W1[h*net.In : (h+1)*net.In]
-					for i, w := range row {
-						sum += w * xStd[i]
-					}
-					if sum < 0 {
-						sum = 0
-					}
-					hidden[h] = sum
-				}
+				xStd, y := xs[idx*net.In:(idx+1)*net.In], Y[idx]
+				forwardHidden(net, xStd, hidden)
 				maxLogit := math.Inf(-1)
 				for o := 0; o < net.Out; o++ {
 					sum := net.B2[o]
@@ -177,20 +163,21 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 					gB2[o] += d
 					row := net.W2[o*net.Hidden : (o+1)*net.Hidden]
 					gRow := gW2[o*net.Hidden : (o+1)*net.Hidden]
-					for h := 0; h < net.Hidden; h++ {
-						gRow[h] += d * hidden[h]
+					for h, a := range hidden {
+						gRow[h] += d * a
 						dHidden[h] += d * row[h]
 					}
 				}
-				for h := 0; h < net.Hidden; h++ {
-					if hidden[h] <= 0 { // ReLU gate
+				for h, a := range hidden {
+					if a <= 0 { // ReLU gate
 						continue
 					}
 					d := dHidden[h]
 					gB1[h] += d
 					gRow := gW1[h*net.In : (h+1)*net.In]
-					for i := 0; i < net.In; i++ {
-						gRow[i] += d * xStd[i]
+					gRow = gRow[:len(xStd)] // no bounds checks below
+					for i, x := range xStd {
+						gRow[i] += d * x
 					}
 				}
 			}
@@ -204,6 +191,42 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 		res.EpochLoss = append(res.EpochLoss, epochLoss/float64(len(X)))
 	}
 	return res, nil
+}
+
+// forwardHidden writes the ReLU hidden activations for the standardized
+// input xStd into hidden. It accumulates two hidden units per pass over
+// the input; each sum still adds its products in input order, so the
+// activations are those of a one-unit-at-a-time loop, bit for bit.
+func forwardHidden(net *Network, xStd, hidden []float64) {
+	in := len(xStd)
+	h := 0
+	for ; h+1 < net.Hidden; h += 2 {
+		r0 := net.W1[h*in : (h+1)*in]
+		r1 := net.W1[(h+1)*in : (h+2)*in]
+		r0, r1 = r0[:in], r1[:in] // lengths the compiler can see: no bounds checks below
+		s0, s1 := net.B1[h], net.B1[h+1]
+		for i, x := range xStd {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+		}
+		hidden[h], hidden[h+1] = relu(s0), relu(s1)
+	}
+	if h < net.Hidden {
+		sum := net.B1[h]
+		for i, w := range net.W1[h*in : (h+1)*in] {
+			sum += w * xStd[i]
+		}
+		hidden[h] = relu(sum)
+	}
+}
+
+// relu clamps negative sums to +0 and passes the rest, −0 included,
+// through unchanged; max(s, 0) would turn −0 into +0.
+func relu(s float64) float64 {
+	if s < 0 {
+		return 0
+	}
+	return s
 }
 
 // adamUpdate applies one Adam step to params given accumulated batch
@@ -260,6 +283,18 @@ func setStandardization(net *Network, X [][]float64) {
 	}
 	copy(net.MeanIn, mean)
 	copy(net.StdIn, std)
+}
+
+// standardize returns X standardized with the network's MeanIn/StdIn,
+// row-major in one slice: row k is X[k] at [k*In, (k+1)*In).
+func standardize(net *Network, X [][]float64) []float64 {
+	xs := make([]float64, 0, len(X)*net.In)
+	for _, x := range X {
+		for i, v := range x {
+			xs = append(xs, (v-net.MeanIn[i])/net.StdIn[i])
+		}
+	}
+	return xs
 }
 
 // Accuracy returns the fraction of inputs whose Predict class matches the

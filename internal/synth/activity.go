@@ -254,6 +254,9 @@ type component struct {
 	freq  float64 // Hz
 	amp   Vec3    // per-axis amplitude after episode scaling
 	phase Vec3    // per-axis phase, radians
+	// ampCos and ampSin are amp·cos(phase) and amp·sin(phase) per axis,
+	// the phase folded into the amplitude for AvgEval.
+	ampCos, ampSin Vec3
 }
 
 // Episode is one contiguous stretch of a single activity performed by one
@@ -293,6 +296,8 @@ func (m *Model) NewEpisode(r *rng.Source) *Episode {
 		c := component{freq: freq, amp: amp.Scale(scale)}
 		for ax := 0; ax < 3; ax++ {
 			c.phase[ax] = r.Uniform(0, 2*math.Pi)
+			c.ampCos[ax] = c.amp[ax] * math.Cos(c.phase[ax])
+			c.ampSin[ax] = c.amp[ax] * math.Sin(c.phase[ax])
 		}
 		ep.comps = append(ep.comps, c)
 	}
@@ -335,24 +340,41 @@ func (e *Episode) Eval(t float64) Vec3 {
 // AvgEval returns the exact time average of the deterministic acceleration
 // over the interval [t0, t1]. For t1 <= t0 it returns Eval(t0). This is
 // what an idealized averaging sensor front-end measures.
+//
+// A component a·sin(wt + φ) averages to
+//
+//	(1/dt) ∫ a·sin(wt + φ) dt = a·(cos(w t0 + φ) − cos(w t1 + φ)) / (w dt),
+//
+// and cos(wt + φ) = cos(wt)·cos φ − sin(wt)·sin φ, so with a·cos φ and
+// a·sin φ stored per axis each component costs one math.Sincos per
+// endpoint for all three axes:
+//
+//	(a·cos φ·(cos w t0 − cos w t1) − a·sin φ·(sin w t0 − sin w t1)) / (w dt).
+//
+// TestAvgEvalMatchesPhaseShiftedCosines holds it to the direct
+// cos(wt + φ) form, and the sensor package's TestSamplerGoldenHash pins
+// the quantized readings built on it bit for bit.
 func (e *Episode) AvgEval(t0, t1 float64) Vec3 {
 	if t1 <= t0 {
 		return e.Eval(t0)
 	}
 	v := e.gravity
 	dt := t1 - t0
-	for _, c := range e.comps {
+	for i := range e.comps {
+		c := &e.comps[i]
 		w := 2 * math.Pi * c.freq
 		if w == 0 {
-			for ax := 0; ax < 3; ax++ {
-				v[ax] += c.amp[ax] * math.Sin(c.phase[ax])
-			}
+			v[0] += c.ampSin[0]
+			v[1] += c.ampSin[1]
+			v[2] += c.ampSin[2]
 			continue
 		}
-		// (1/dt) ∫ sin(w t + φ) dt = (cos(w t0 + φ) - cos(w t1 + φ)) / (w dt)
-		for ax := 0; ax < 3; ax++ {
-			v[ax] += c.amp[ax] * (math.Cos(w*t0+c.phase[ax]) - math.Cos(w*t1+c.phase[ax])) / (w * dt)
-		}
+		s0, c0 := math.Sincos(w * t0)
+		s1, c1 := math.Sincos(w * t1)
+		dc, ds, wdt := c0-c1, s0-s1, w*dt
+		v[0] += (c.ampCos[0]*dc - c.ampSin[0]*ds) / wdt
+		v[1] += (c.ampCos[1]*dc - c.ampSin[1]*ds) / wdt
+		v[2] += (c.ampCos[2]*dc - c.ampSin[2]*ds) / wdt
 	}
 	return v
 }

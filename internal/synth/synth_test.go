@@ -84,6 +84,61 @@ func TestAvgEvalMatchesNumericalIntegration(t *testing.T) {
 	}
 }
 
+// avgEvalCosines is AvgEval's direct form, kept as its reference: six
+// math.Cos calls per component, one per axis and endpoint.
+func avgEvalCosines(e *Episode, t0, t1 float64) Vec3 {
+	v := e.gravity
+	dt := t1 - t0
+	for _, c := range e.comps {
+		w := 2 * math.Pi * c.freq
+		if w == 0 {
+			for ax := 0; ax < 3; ax++ {
+				v[ax] += c.amp[ax] * math.Sin(c.phase[ax])
+			}
+			continue
+		}
+		for ax := 0; ax < 3; ax++ {
+			v[ax] += c.amp[ax] * (math.Cos(w*t0+c.phase[ax]) - math.Cos(w*t1+c.phase[ax])) / (w * dt)
+		}
+	}
+	return v
+}
+
+// TestAvgEvalMatchesPhaseShiftedCosines holds AvgEval's Sincos form to
+// the direct cos(wt + φ) form for every activity model, over averaging
+// windows from one internal sample (1/1600 s) to 20 s and start times up
+// to an hour, and checks that a zero-frequency component contributes
+// exactly a·sin φ.
+func TestAvgEvalMatchesPhaseShiftedCosines(t *testing.T) {
+	const tol = 1e-9 // m/s²
+	windows := []float64{1.0 / 1600, 8.0 / 1600, 128.0 / 1600, 0.5, 2, 20}
+	starts := []float64{0, 1e-3, 0.37, 4.2, 61.7, 299.9, 1234.5, 3599}
+	r := rng.New(17)
+	for _, m := range DefaultModels() {
+		for rep := 0; rep < 4; rep++ {
+			ep := m.NewEpisode(r)
+			for _, w := range windows {
+				for _, t0 := range starts {
+					t0 += r.Float64()
+					got, want := ep.AvgEval(t0, t0+w), avgEvalCosines(ep, t0, t0+w)
+					for ax := 0; ax < 3; ax++ {
+						if d := math.Abs(got[ax] - want[ax]); !(d <= tol) {
+							t.Fatalf("%v [%v, %v] axis %d: AvgEval %v, cosine form %v (|Δ| = %.3g)",
+								m.Activity, t0, t0+w, ax, got[ax], want[ax], d)
+						}
+					}
+				}
+			}
+		}
+	}
+	ep := DefaultModels()[Sit].NewEpisode(r)
+	ep.comps = ep.comps[:1]
+	ep.comps[0].freq = 0
+	if got, want := ep.AvgEval(1, 2), avgEvalCosines(ep, 1, 2); got != want {
+		t.Fatalf("zero-frequency component: AvgEval %v, cosine form %v", got, want)
+	}
+}
+
 func TestAvgEvalDegenerateInterval(t *testing.T) {
 	ep := DefaultModels()[Walk].NewEpisode(rng.New(3))
 	if ep.AvgEval(2, 2) != ep.Eval(2) {
@@ -323,5 +378,23 @@ func TestVec3Ops(t *testing.T) {
 	}
 	if got := v.Scale(2); got != (Vec3{2, 4, 4}) {
 		t.Fatalf("Scale = %v", got)
+	}
+}
+
+var avgEvalSink Vec3
+
+// BenchmarkEpisodeAvgEval times one reading's kernel: the average of a
+// 12-component Walk episode over the F100_A128 averaging window (128
+// internal samples at 1.6 kHz = 80 ms), at the 100-Hz reading times.
+func BenchmarkEpisodeAvgEval(b *testing.B) {
+	ep := DefaultModels()[Walk].NewEpisode(rng.New(1))
+	if len(ep.comps) != 12 {
+		b.Fatalf("walk episode has %d components, want 12", len(ep.comps))
+	}
+	const window = 128.0 / 1600
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t := 4 + float64(i%200)*0.01
+		avgEvalSink = ep.AvgEval(t-window, t)
 	}
 }
