@@ -124,6 +124,10 @@ func TestRunAgainstStub(t *testing.T) {
 	var phases []int
 	cfg := testConfig(srv.URL)
 	cfg.Phases = []Phase{{Rate: 300, Events: 60}, {Rate: 300, Events: 60}}
+	// A worker per event of a phase: a phase waits for its pushes before
+	// the next starts, so no burst of late timers can find every worker
+	// busy and shed, however the host schedules the run.
+	cfg.Workers = 60
 	cfg.OnPhase = func(i int) { phases = append(phases, i) }
 	r, err := NewRunner(cfg)
 	if err != nil {

@@ -19,24 +19,13 @@ const (
 )
 
 // goldenTrain trains a 15-33-6 network (an odd hidden width, so any
-// unrolled loop also runs its tail) for 6 epochs on a seeded 6-class
-// corpus whose features have distinct scales and offsets, and hashes the
-// result.
+// unrolled loop also runs its tail) for 6 epochs on a seeded
+// scaledCorpus, and hashes the result.
 func goldenTrain(t *testing.T, smoothing float64) uint64 {
 	t.Helper()
 	r := rng.New(51)
-	const in, classes = 15, 6
-	var X [][]float64
-	var Y []int
-	for i := 0; i < 500; i++ {
-		cls := i % classes
-		x := make([]float64, in)
-		for j := range x {
-			x[j] = float64(j+1)*(r.Norm()+0.4*float64((cls+j)%classes)) + float64(3*j)
-		}
-		X, Y = append(X, x), append(Y, cls)
-	}
-	net := New(in, 33, classes, r.Split(1))
+	X, Y := scaledCorpus(r, 500, 15, 6)
+	net := New(15, 33, 6, r.Split(1))
 	res, err := Train(net, X, Y, TrainConfig{Epochs: 6, BatchSize: 32, LabelSmoothing: smoothing}, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +41,33 @@ func goldenTrain(t *testing.T, smoothing float64) uint64 {
 	return h.Sum64()
 }
 
-func TestTrainGoldenHash(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		// Other architectures may fuse x*y+z into one rounding.
-		t.Skipf("golden hashes are pinned on amd64, not %s", runtime.GOARCH)
+// scaledCorpus draws n inputs of size in, labelled round-robin over
+// classes, whose features have distinct scales and offsets and a
+// class-dependent shift.
+func scaledCorpus(r *rng.Source, n, in, classes int) (X [][]float64, Y []int) {
+	for i := 0; i < n; i++ {
+		cls := i % classes
+		x := make([]float64, in)
+		for j := range x {
+			x[j] = float64(j+1)*(r.Norm()+0.4*float64((cls+j)%classes)) + float64(3*j)
+		}
+		X, Y = append(X, x), append(Y, cls)
 	}
+	return X, Y
+}
+
+// skipOffAMD64 skips a test that pins floating-point results bit for bit
+// to anything but amd64: other architectures may fuse x*y+z into one
+// rounding.
+func skipOffAMD64(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bit-exact results are pinned on amd64, not %s", runtime.GOARCH)
+	}
+}
+
+func TestTrainGoldenHash(t *testing.T) {
+	skipOffAMD64(t)
 	for _, tc := range []struct {
 		smoothing float64
 		want      uint64

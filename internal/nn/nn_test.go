@@ -282,3 +282,15 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		_, _ = Train(net, X, Y, TrainConfig{Epochs: 1}, rng.New(3))
 	}
 }
+
+// BenchmarkTrainLab trains the lab's classifier shape, 15 features, 32
+// hidden units and 6 classes, on 1200 windows for 5 epochs, so the loops
+// over the input and hidden layers carry the cost.
+func BenchmarkTrainLab(b *testing.B) {
+	X, Y := scaledCorpus(rng.New(1), 1200, 15, 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net := New(15, 32, 6, rng.New(2))
+		_, _ = Train(net, X, Y, TrainConfig{Epochs: 5}, rng.New(3))
+	}
+}

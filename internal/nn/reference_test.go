@@ -1,0 +1,259 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"adasense/internal/rng"
+)
+
+// trainReference is Train written the plain way: one hidden unit and one
+// logit at a time, a branching ReLU and a branching backward gate. Train
+// must match it bit for bit.
+func trainReference(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source) TrainResult {
+	cfg = cfg.withDefaults()
+	setStandardization(net, X)
+	gW1 := make([]float64, len(net.W1))
+	gB1 := make([]float64, len(net.B1))
+	gW2 := make([]float64, len(net.W2))
+	gB2 := make([]float64, len(net.B2))
+	aW1 := newAdamState(len(net.W1))
+	aB1 := newAdamState(len(net.B1))
+	aW2 := newAdamState(len(net.W2))
+	aB2 := newAdamState(len(net.B2))
+	xStd := make([]float64, net.In)
+	hidden := make([]float64, net.Hidden)
+	probs := make([]float64, net.Out)
+	dHidden := make([]float64, net.Hidden)
+
+	var res TrainResult
+	order := make([]int, len(X))
+	for i := range order {
+		order[i] = i
+	}
+	step := 0
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var epochLoss float64
+		for start := 0; start < len(order); start += cfg.BatchSize {
+			end := min(start+cfg.BatchSize, len(order))
+			batch := order[start:end]
+			zero(gW1)
+			zero(gB1)
+			zero(gW2)
+			zero(gB2)
+			for _, idx := range batch {
+				y := Y[idx]
+				for i, v := range X[idx] {
+					xStd[i] = (v - net.MeanIn[i]) / net.StdIn[i]
+				}
+				for h := 0; h < net.Hidden; h++ {
+					sum := net.B1[h]
+					for i, w := range net.W1[h*net.In : (h+1)*net.In] {
+						sum += w * xStd[i]
+					}
+					if sum < 0 {
+						sum = 0
+					}
+					hidden[h] = sum
+				}
+				maxLogit := math.Inf(-1)
+				for o := 0; o < net.Out; o++ {
+					sum := net.B2[o]
+					for h, w := range net.W2[o*net.Hidden : (o+1)*net.Hidden] {
+						sum += w * hidden[h]
+					}
+					probs[o] = sum
+					if sum > maxLogit {
+						maxLogit = sum
+					}
+				}
+				var z float64
+				for o := range probs {
+					probs[o] = math.Exp(probs[o] - maxLogit)
+					z += probs[o]
+				}
+				for o := range probs {
+					probs[o] /= z
+				}
+				p := probs[y]
+				if p < 1e-12 {
+					p = 1e-12
+				}
+				epochLoss += -math.Log(p)
+
+				smooth := cfg.LabelSmoothing
+				zero(dHidden)
+				for o := 0; o < net.Out; o++ {
+					target := smooth / float64(net.Out)
+					if o == y {
+						target += 1 - smooth
+					}
+					d := probs[o] - target
+					gB2[o] += d
+					row := net.W2[o*net.Hidden : (o+1)*net.Hidden]
+					gRow := gW2[o*net.Hidden : (o+1)*net.Hidden]
+					for h, a := range hidden {
+						gRow[h] += d * a
+						dHidden[h] += d * row[h]
+					}
+				}
+				for h, a := range hidden {
+					if a <= 0 {
+						continue
+					}
+					d := dHidden[h]
+					gB1[h] += d
+					gRow := gW1[h*net.In : (h+1)*net.In]
+					for i, x := range xStd {
+						gRow[i] += d * x
+					}
+				}
+			}
+			inv := 1 / float64(len(batch))
+			step++
+			adamUpdate(net.W1, gW1, aW1, cfg, inv, step, true)
+			adamUpdate(net.B1, gB1, aB1, cfg, inv, step, false)
+			adamUpdate(net.W2, gW2, aW2, cfg, inv, step, true)
+			adamUpdate(net.B2, gB2, aB2, cfg, inv, step, false)
+		}
+		res.EpochLoss = append(res.EpochLoss, epochLoss/float64(len(X)))
+	}
+	return res
+}
+
+// sameBits reports the first index where a and b differ bit for bit.
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return min(len(a), len(b)), false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// checkAgainstReference trains two copies of net, one with Train and one
+// with trainReference, from the same shuffle seed and requires every
+// parameter, standardization value and epoch loss to match bit for bit.
+func checkAgainstReference(t *testing.T, net *Network, X [][]float64, Y []int, cfg TrainConfig) {
+	t.Helper()
+	ref := net.Clone()
+	res, err := Train(net, X, Y, cfg, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trainReference(ref, X, Y, cfg, rng.New(7))
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"W1", net.W1, ref.W1}, {"B1", net.B1, ref.B1},
+		{"W2", net.W2, ref.W2}, {"B2", net.B2, ref.B2},
+		{"MeanIn", net.MeanIn, ref.MeanIn}, {"StdIn", net.StdIn, ref.StdIn},
+		{"EpochLoss", res.EpochLoss, want.EpochLoss},
+	} {
+		if i, ok := sameBits(c.got, c.want); !ok {
+			if i < min(len(c.got), len(c.want)) {
+				t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", c.name, i,
+					c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
+			}
+			t.Fatalf("%s has %d values, reference %d", c.name, len(c.got), len(c.want))
+		}
+	}
+}
+
+func TestTrainMatchesReference(t *testing.T) {
+	skipOffAMD64(t)
+	for _, in := range []int{2, 15, 24} {
+		for _, hidden := range []int{1, 3, 4, 5, 32, 33} {
+			for _, out := range []int{2, 6, 7} {
+				for _, smoothing := range []float64{0, 0.1} {
+					name := fmt.Sprintf("%d-%d-%d/smooth=%v", in, hidden, out, smoothing)
+					t.Run(name, func(t *testing.T) {
+						r := rng.New(uint64(1000*in + 10*hidden + out))
+						X, Y := scaledCorpus(r, 90, in, out)
+						net := New(in, hidden, out, r.Split(1))
+						cfg := TrainConfig{Epochs: 3, BatchSize: 16, LabelSmoothing: smoothing}
+						checkAgainstReference(t, net, X, Y, cfg)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestTrainMatchesReferenceConstantFeature covers a feature whose std is
+// floored: it standardizes to exactly zero in every input.
+func TestTrainMatchesReferenceConstantFeature(t *testing.T) {
+	skipOffAMD64(t)
+	r := rng.New(3)
+	X, Y := scaledCorpus(r, 120, 15, 6)
+	for _, x := range X {
+		x[4] = 2.5
+	}
+	net := New(15, 33, 6, r.Split(1))
+	checkAgainstReference(t, net, X, Y, TrainConfig{Epochs: 4, BatchSize: 32})
+	if net.StdIn[4] != 1 {
+		t.Fatalf("constant feature std = %v, want the floor value 1", net.StdIn[4])
+	}
+}
+
+// TestTrainMatchesReferenceDeadUnits covers hidden units the ReLU gate
+// blocks for every input: their biases are far below anything the
+// standardized inputs can lift.
+func TestTrainMatchesReferenceDeadUnits(t *testing.T) {
+	skipOffAMD64(t)
+	r := rng.New(4)
+	X, Y := scaledCorpus(r, 120, 15, 6)
+	net := New(15, 33, 6, r.Split(1))
+	dead := []int{0, 5, 6, 7, 20, 32}
+	for _, h := range dead {
+		net.B1[h] = -1e3
+	}
+	checkAgainstReference(t, net, X, Y, TrainConfig{Epochs: 4, BatchSize: 32})
+	hidden := make([]float64, net.Hidden)
+	probs := make([]float64, net.Out)
+	for _, x := range X {
+		net.forwardInto(x, hidden, probs)
+		for _, h := range dead {
+			if hidden[h] != 0 {
+				t.Fatalf("unit %d is live after training (activation %v)", h, hidden[h])
+			}
+		}
+	}
+}
+
+// TestTrainMatchesReferenceNaN covers a corpus holding a NaN: it spreads
+// to every activation, and a NaN unit must still back-propagate.
+func TestTrainMatchesReferenceNaN(t *testing.T) {
+	skipOffAMD64(t)
+	r := rng.New(5)
+	X, Y := scaledCorpus(r, 40, 15, 6)
+	X[3][2] = math.NaN()
+	net := New(15, 5, 6, r.Split(1))
+	checkAgainstReference(t, net, X, Y, TrainConfig{Epochs: 2, BatchSize: 16})
+}
+
+func TestReLUBits(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	for _, c := range []struct {
+		in, want float64
+	}{
+		{0, 0},
+		{math.Copysign(0, -1), math.Copysign(0, -1)},
+		{-1, 0},
+		{math.Inf(-1), 0},
+		{2.5, 2.5},
+		{math.Inf(1), math.Inf(1)},
+		{math.NaN(), math.NaN()},
+		{negNaN, negNaN},
+	} {
+		if got := relu(c.in); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("relu(%v) bits = %#x, want %#x", c.in, math.Float64bits(got), math.Float64bits(c.want))
+		}
+	}
+}

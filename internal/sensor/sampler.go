@@ -133,6 +133,10 @@ func (s *Sampler) Sample(m *synth.Motion, cfg Config, t0, t1 float64) *Batch {
 	}
 	period := 1 / cfg.FreqHz
 	w := cfg.AvgWindowSec()
+	// σ depends on t only through the tremor, which changes at segment
+	// boundaries: recompute it only then. NaN matches nothing, so the
+	// first reading always computes it.
+	tremor, sigma := math.NaN(), 0.0
 	for i := 0; i < n; i++ {
 		t := t0 + float64(i)*period
 		lo := t - w
@@ -140,7 +144,9 @@ func (s *Sampler) Sample(m *synth.Motion, cfg Config, t0, t1 float64) *Batch {
 			lo = 0
 		}
 		v := m.AvgEval(lo, t)
-		sigma := s.ReadingStd(cfg, m.Tremor(t))
+		if tr := m.Tremor(t); tr != tremor {
+			tremor, sigma = tr, s.ReadingStd(cfg, tr)
+		}
 		for ax := 0; ax < 3; ax++ {
 			reading := v[ax] + s.r.NormSigma(0, sigma)
 			switch ax {
