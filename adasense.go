@@ -20,11 +20,11 @@
 //
 // The package is organized around the Service/Session serving layer. A
 // Service wraps one immutable trained System — the paper's single shared
-// classifier — together with the defaults every caller would otherwise
-// re-plumb (window/hop, power/noise/MCU models, controller policy),
-// configured with functional options. The Service is safe for concurrent
-// use from many goroutines; each connected device gets its own
-// goroutine-confined Session.
+// classifier — at the paper's fixed operating point (2 s window, 1 s
+// hop, BMI160-class power and noise models, Cortex-M4-class MCU model),
+// with the controller policy as its one functional option. The Service
+// is safe for concurrent use from many goroutines; each connected device
+// gets its own goroutine-confined Session.
 //
 // Above the Service sits the fleet Gateway: a sharded session registry
 // with id lookup, idle-TTL eviction and a max-sessions cap, an

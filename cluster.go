@@ -71,68 +71,24 @@ type Replica struct {
 	URL string `json:"url"`
 }
 
-// DefaultSwapRetries is the number of retries (after the first attempt)
-// SwapModel gives each peer before reporting it failed.
-const DefaultSwapRetries = 2
-
-// DefaultSwapRetryBackoff is the pause before a peer's first swap
-// retry; each further retry waits one multiple longer, so the default
-// schedule (250 ms, then 500 ms) absorbs restart-sized peer outages
-// instead of burning every attempt in the same millisecond.
-const DefaultSwapRetryBackoff = 250 * time.Millisecond
+// A replicated push (model swap, rollout stage, session state) that
+// fails transiently is retried swapRetries times after its first
+// attempt, retry k waiting k×swapRetryBackoff: 250 ms, then 500 ms, so
+// the schedule absorbs restart-sized peer outages instead of burning
+// every attempt in the same millisecond.
+const (
+	swapRetries      = 2
+	swapRetryBackoff = 250 * time.Millisecond
+)
 
 // clusterConfig holds the federation policy a Cluster applies over its
 // gateway.
 type clusterConfig struct {
-	vnodes   int
-	hash     hashring.Hash
-	client   *http.Client
-	token    string
-	retries  int
-	backoff  time.Duration
-	coldOnly bool
+	token string
 }
 
 // ClusterOption configures a Cluster.
 type ClusterOption func(*clusterConfig) error
-
-// WithClusterVirtualNodes sets the hash ring's per-replica virtual-node
-// count (default hashring.DefaultVirtualNodes). Every replica of a fleet
-// must use the same value, or placements diverge.
-func WithClusterVirtualNodes(n int) ClusterOption {
-	return func(c *clusterConfig) error {
-		if n <= 0 {
-			return fmt.Errorf("adasense: non-positive virtual-node count %d", n)
-		}
-		c.vnodes = n
-		return nil
-	}
-}
-
-// WithClusterHash injects the ring's hash function, making placement
-// deterministically testable. Every replica of a fleet must use the same
-// hash.
-func WithClusterHash(h func(string) uint64) ClusterOption {
-	return func(c *clusterConfig) error {
-		if h == nil {
-			return fmt.Errorf("adasense: nil cluster hash")
-		}
-		c.hash = h
-		return nil
-	}
-}
-
-// WithPeerClient sets the HTTP client used for peer calls (default: a
-// client with a 10 s timeout).
-func WithPeerClient(client *http.Client) ClusterOption {
-	return func(c *clusterConfig) error {
-		if client == nil {
-			return fmt.Errorf("adasense: nil peer client")
-		}
-		c.client = client
-		return nil
-	}
-}
 
 // WithPeerAuth sets the bearer token presented on peer calls that carry
 // no incoming Authorization header of their own (SwapModel replication).
@@ -141,48 +97,6 @@ func WithPeerClient(client *http.Client) ClusterOption {
 func WithPeerAuth(token string) ClusterOption {
 	return func(c *clusterConfig) error {
 		c.token = token
-		return nil
-	}
-}
-
-// WithSwapRetries sets how many times SwapModel retries each
-// transiently failing peer (transport error or 5xx; a 4xx fails fast)
-// after its first attempt (default DefaultSwapRetries). Zero means one
-// attempt only.
-func WithSwapRetries(n int) ClusterOption {
-	return func(c *clusterConfig) error {
-		if n < 0 {
-			return fmt.Errorf("adasense: negative swap retry count %d", n)
-		}
-		c.retries = n
-		return nil
-	}
-}
-
-// WithSwapRetryBackoff sets the pause before a peer's first swap retry
-// (default DefaultSwapRetryBackoff); retry k waits k times as long.
-// Zero retries immediately; negative is invalid.
-func WithSwapRetryBackoff(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) error {
-		if d < 0 {
-			return fmt.Errorf("adasense: negative swap retry backoff %v", d)
-		}
-		c.backoff = d
-		return nil
-	}
-}
-
-// WithStatefulHandoff controls whether a rebalance transfers departing
-// sessions' live state to their new owner (default true). Enabled, the
-// departing replica snapshots each moved session into an ADSS container
-// and PUTs it to the new owner, so the device's adaptation trajectory —
-// its duty-cycle descent, window remainder and energy ledger — survives
-// the move. Disabled, sessions are simply closed and the new owner
-// re-opens them cold, which is the pre-stateful behavior and the right
-// choice when replicas run skewed builds whose state payloads disagree.
-func WithStatefulHandoff(enabled bool) ClusterOption {
-	return func(c *clusterConfig) error {
-		c.coldOnly = !enabled
 		return nil
 	}
 }
@@ -220,15 +134,10 @@ type clusterView struct {
 // the local sessions whose devices moved to another owner. All methods
 // are safe for concurrent use.
 type Cluster struct {
-	self     string
-	gw       *Gateway
-	client   *http.Client
-	token    string
-	retries  int
-	backoff  time.Duration
-	vnodes   int
-	hash     hashring.Hash
-	coldOnly bool
+	self   string
+	gw     *Gateway
+	client *http.Client
+	token  string
 
 	// view is the current membership generation; applyMu serializes
 	// snapshot application (the subscription goroutine plus any direct
@@ -262,27 +171,19 @@ func newClusterCore(gw *Gateway, self string, opts []ClusterOption) (*Cluster, e
 	if self == "" {
 		return nil, fmt.Errorf("adasense: NewCluster needs a non-empty self id")
 	}
-	cfg := clusterConfig{
-		vnodes:  hashring.DefaultVirtualNodes,
-		client:  &http.Client{Timeout: 10 * time.Second},
-		retries: DefaultSwapRetries,
-		backoff: DefaultSwapRetryBackoff,
-	}
+	var cfg clusterConfig
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
 	}
 	return &Cluster{
-		self:     self,
-		gw:       gw,
-		client:   cfg.client,
-		token:    cfg.token,
-		retries:  cfg.retries,
-		backoff:  cfg.backoff,
-		vnodes:   cfg.vnodes,
-		hash:     cfg.hash,
-		coldOnly: cfg.coldOnly,
+		self: self,
+		gw:   gw,
+		// One timeout bounds every peer call: forwards, replicated
+		// pushes and model catch-up pulls.
+		client: &http.Client{Timeout: 10 * time.Second},
+		token:  cfg.token,
 	}, nil
 }
 
@@ -294,11 +195,7 @@ func (c *Cluster) buildView(snap membership.Snapshot) (*clusterView, error) {
 	if len(snap.Members) == 0 {
 		return nil, fmt.Errorf("adasense: membership snapshot has no replicas")
 	}
-	ringOpts := []hashring.Option{hashring.WithVirtualNodes(c.vnodes)}
-	if c.hash != nil {
-		ringOpts = append(ringOpts, hashring.WithHash(c.hash))
-	}
-	ring, err := hashring.New(ringOpts...)
+	ring, err := hashring.New()
 	if err != nil {
 		return nil, fmt.Errorf("adasense: %w", err)
 	}
@@ -448,8 +345,8 @@ func (c *Cluster) applySnapshot(snap membership.Snapshot) error {
 	// shipped to the new owner — each on its own goroutine, after its
 	// in-flight push (sessions serialize their own calls), so one long
 	// push delays only its own device. If the transfer cannot happen
-	// (stateful handoff disabled, snapshot failed, new owner unknown or
-	// unreachable) the session is simply closed and the new owner adopts
+	// (snapshot failed, new owner unknown, unreachable or refusing the
+	// state) the session is simply closed and the new owner adopts
 	// the device cold on its next contact.
 	var departing []*GatewaySession
 	c.gw.reg.Range(func(id string, gs *GatewaySession) bool {
@@ -465,11 +362,14 @@ func (c *Cluster) applySnapshot(snap membership.Snapshot) error {
 }
 
 // handOff dispatches one departing session after a rebalance: close it
-// locally and, when stateful handoff is enabled and the new owner is a
-// known peer, ship its state snapshot so the device's adaptation
-// trajectory survives the move. Every failure degrades to the cold
-// path — the session is already closed, so the new owner re-opens it
-// from the top configuration on the device's next contact.
+// locally and, when the new owner is a known peer, ship its state
+// snapshot so the device's adaptation trajectory survives the move.
+// Every failure degrades to the cold path — the session is already
+// closed, so the new owner re-opens it from the top configuration on
+// the device's next contact. That includes a receiver refusing the
+// snapshot (a different model generation or an ADSS layout its build
+// cannot read answers 4xx, which is not retried), so replicas running
+// skewed builds degrade to cold handoffs without any configuration.
 func (c *Cluster) handOff(gs *GatewaySession) {
 	// Re-check against the live view before closing: under a membership
 	// flap, a later snapshot may have restored this device's ownership
@@ -482,13 +382,13 @@ func (c *Cluster) handOff(gs *GatewaySession) {
 		return
 	}
 	rep, known := view.replicas[owner]
-	st, closed := gs.close(!c.coldOnly && known)
+	st, closed := gs.close(known)
 	if !closed {
 		return // lost the race with a concurrent close
 	}
 	c.gw.tel.SessionsHandedOff.Add(1)
 	if st == nil {
-		return // cold handoff, or the snapshot failed; the new owner adopts the device cold
+		return // new owner unknown, or the snapshot failed; the new owner adopts the device cold
 	}
 	body, err := st.AppendBinary(make([]byte, 0, st.EncodedLen()))
 	if err != nil {
@@ -673,9 +573,10 @@ type SwapResult struct {
 // cluster: the local gateway swaps via Gateway.SwapModel, and each peer
 // receives the bytes on POST <peer>/v1/model with ReplicatedHeader set
 // (so peers apply locally instead of re-replicating) and the cluster's
-// bearer token. Peers are pushed concurrently, each retried up to the
-// configured count; results come back per replica, sorted by id, with
-// the joined error of every failure (nil when the whole fleet swapped).
+// bearer token. Peers are pushed concurrently, each retried on the fixed
+// transient-failure schedule (two retries, after 250 ms and 500 ms);
+// results come back per replica, sorted by id, with the joined error of
+// every failure (nil when the whole fleet swapped).
 //
 // A ctx already canceled when SwapModel is called aborts the whole
 // operation before any replica is touched. Once the local swap commits,
@@ -760,7 +661,7 @@ func (c *Cluster) pushModel(ctx context.Context, rep Replica, model []byte) Swap
 // and session-state fan-outs all ride this one delivery path.
 func (c *Cluster) pushBytes(ctx context.Context, method string, rep Replica, path, contentType string, body []byte) SwapResult {
 	res := SwapResult{Replica: rep.ID}
-	for attempt := 1; attempt <= 1+c.retries; attempt++ {
+	for attempt := 1; attempt <= 1+swapRetries; attempt++ {
 		res.Attempts = attempt
 		var retryable bool
 		retryable, res.Err = c.pushOnce(ctx, method, rep, path, contentType, body)
@@ -771,12 +672,12 @@ func (c *Cluster) pushBytes(ctx context.Context, method string, rep Replica, pat
 		if !retryable {
 			return res
 		}
-		if attempt <= c.retries {
+		if attempt <= swapRetries {
 			// Linear backoff so the retry budget spans restart-sized
 			// outages. The fan-out context is detached (the fleet must
 			// converge once the local swap committed), so a plain sleep
 			// cannot strand a canceled caller.
-			time.Sleep(time.Duration(attempt) * c.backoff)
+			time.Sleep(time.Duration(attempt) * swapRetryBackoff)
 		}
 	}
 	return res

@@ -100,33 +100,22 @@ func TestNewClusterValidation(t *testing.T) {
 		gw       *adasense.Gateway
 		self     string
 		replicas []adasense.Replica
-		opts     []adasense.ClusterOption
 	}{
-		{"nil gateway", nil, "gw-a", two, nil},
-		{"empty self", gw, "", two, nil},
-		{"self not a member", gw, "gw-z", two, nil},
+		{"nil gateway", nil, "gw-a", two},
+		{"empty self", gw, "", two},
+		{"self not a member", gw, "gw-z", two},
 		{"duplicate replica id", gw, "gw-a", []adasense.Replica{
 			{ID: "gw-a"}, {ID: "gw-a", URL: "http://dup.internal:1"},
-		}, nil},
+		}},
 		{"peer without URL", gw, "gw-a", []adasense.Replica{
 			{ID: "gw-a"}, {ID: "gw-b"},
-		}, nil},
+		}},
 		{"peer with non-http URL", gw, "gw-a", []adasense.Replica{
 			{ID: "gw-a"}, {ID: "gw-b", URL: "ftp://peer-b:21"},
-		}, nil},
-		{"zero virtual nodes", gw, "gw-a", two,
-			[]adasense.ClusterOption{adasense.WithClusterVirtualNodes(0)}},
-		{"nil hash", gw, "gw-a", two,
-			[]adasense.ClusterOption{adasense.WithClusterHash(nil)}},
-		{"nil peer client", gw, "gw-a", two,
-			[]adasense.ClusterOption{adasense.WithPeerClient(nil)}},
-		{"negative retries", gw, "gw-a", two,
-			[]adasense.ClusterOption{adasense.WithSwapRetries(-1)}},
-		{"negative retry backoff", gw, "gw-a", two,
-			[]adasense.ClusterOption{adasense.WithSwapRetryBackoff(-time.Second)}},
+		}},
 	}
 	for _, tc := range cases {
-		if _, err := adasense.NewCluster(tc.gw, tc.self, tc.replicas, tc.opts...); err == nil {
+		if _, err := adasense.NewCluster(tc.gw, tc.self, tc.replicas); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -317,8 +306,8 @@ func TestClusterSwapModelReplicates(t *testing.T) {
 }
 
 // TestClusterSwapModelRetry proves the counted retry: a peer that fails
-// twice then recovers is retried to success, and attempts plus peer
-// errors are accounted.
+// twice then recovers is retried to success on the fixed two-retry
+// schedule, and attempts plus peer errors are accounted.
 func TestClusterSwapModelRetry(t *testing.T) {
 	var calls atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +323,7 @@ func TestClusterSwapModelRetry(t *testing.T) {
 	c := testCluster(t, gw, "gw-a", []adasense.Replica{
 		{ID: "gw-a"},
 		{ID: "gw-b", URL: flaky.URL},
-	}, adasense.WithSwapRetries(2), adasense.WithSwapRetryBackoff(time.Millisecond))
+	})
 
 	results, err := c.SwapModel(context.Background(), modelBytes(t))
 	if err != nil {
@@ -363,7 +352,7 @@ func TestClusterSwapModelFailsFastOn4xx(t *testing.T) {
 	c := testCluster(t, gw, "gw-a", []adasense.Replica{
 		{ID: "gw-a"},
 		{ID: "gw-b", URL: rejecting.URL},
-	}, adasense.WithSwapRetries(2))
+	})
 
 	results, err := c.SwapModel(context.Background(), modelBytes(t))
 	if err == nil {
@@ -390,7 +379,7 @@ func TestClusterSwapModelPartialFailure(t *testing.T) {
 		{ID: "gw-a"},
 		{ID: "gw-b", URL: peer.ts.URL},
 		{ID: "gw-c", URL: "http://127.0.0.1:1"},
-	}, adasense.WithSwapRetries(1), adasense.WithSwapRetryBackoff(time.Millisecond))
+	})
 
 	results, err := c.SwapModel(context.Background(), modelBytes(t))
 	if err == nil {
@@ -406,8 +395,8 @@ func TestClusterSwapModelPartialFailure(t *testing.T) {
 	if byID["gw-a"].Err != nil || byID["gw-b"].Err != nil {
 		t.Errorf("healthy replicas reported errors: %+v", results)
 	}
-	if dead := byID["gw-c"]; dead.Err == nil || dead.Attempts != 2 {
-		t.Errorf("dead replica = %+v, want 2 exhausted attempts", dead)
+	if dead := byID["gw-c"]; dead.Err == nil || dead.Attempts != 3 {
+		t.Errorf("dead replica = %+v, want 3 exhausted attempts", dead)
 	}
 	if gw.Stats().ModelSwaps != 1 || peer.gw.Stats().ModelSwaps != 1 {
 		t.Error("partial failure rolled back healthy replicas")

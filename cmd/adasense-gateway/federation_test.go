@@ -639,13 +639,16 @@ func TestFederationForwardErrorPaths(t *testing.T) {
 // replica reappears on its ring-assigned new owner with a
 // byte-identical ADSS snapshot — configuration, controller counters,
 // window remainder and energy ledger all intact, counted on
-// adasense_handoffs_stateful_total and never on the cold series. Cold
-// half: when the old owner dies outright (nothing handed off), the
-// device's next push on the survivor adopts it cold at the top
-// configuration, counted on adasense_handoffs_cold_total — and in both
-// halves the device's next push lands.
+// adasense_handoffs_stateful_total and never on the cold series.
+// Refused half: when the new owner serves another model generation (as
+// replicas on skewed builds or models do), it answers the state PUT 409,
+// the sender makes exactly one attempt, and the device's next push
+// adopts it cold. Cold half: when the old owner dies outright (nothing
+// handed off), the device's next push on the survivor adopts it cold at
+// the top configuration, counted on adasense_handoffs_cold_total — and
+// in every half the device's next push lands.
 func TestFederationStatefulHandoffColdFallback(t *testing.T) {
-	names := []string{"gw-a", "gw-b", "gw-c"}
+	names := []string{"gw-a", "gw-b", "gw-c", "gw-d"}
 	servers := make(map[string]*httptest.Server, len(names))
 	urls := make(map[string]string, len(names))
 	for _, n := range names {
@@ -654,21 +657,39 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 		servers[n] = ts
 		urls[n] = "http://" + ts.Listener.Addr().String()
 	}
-	path := filepath.Join(t.TempDir(), "peers.conf")
-	writePeers := func(members ...string) {
+	// Each replica polls its own peers file, so a change can reach the
+	// receivers before the sender.
+	dir := t.TempDir()
+	peersFile := func(replica string) string { return filepath.Join(dir, replica+".conf") }
+	writePeersOf := func(replicas []string, members ...string) {
 		var b strings.Builder
 		for _, m := range members {
 			fmt.Fprintf(&b, "%s=%s\n", m, urls[m])
 		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			t.Fatal(err)
+		for _, r := range replicas {
+			tmp := peersFile(r) + ".tmp"
+			if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(tmp, peersFile(r)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	writePeers := func(members ...string) { writePeersOf(names, members...) }
 	writePeers(names...)
+
+	// statePuts records the status every replica answered a session-state
+	// PUT with, so the refused half can count the sender's attempts.
+	var (
+		putMu     sync.Mutex
+		statePuts []int
+	)
+	putStatuses := func() []int {
+		putMu.Lock()
+		defer putMu.Unlock()
+		return append([]int(nil), statePuts...)
+	}
 
 	gws := make(map[string]*adasense.Gateway, len(names))
 	clusters := make(map[string]*adasense.Cluster, len(names))
@@ -683,7 +704,7 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := membership.NewFileSource(path, membership.WithPollInterval(3*time.Millisecond))
+		src, err := membership.NewFileSource(peersFile(n), membership.WithPollInterval(3*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -693,7 +714,18 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 		}
 		t.Cleanup(cluster.Close)
 		gws[n], clusters[n] = gw, cluster
-		servers[n].Config.Handler = newServer(gw, cluster)
+		srv := newServer(gw, cluster)
+		servers[n].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPut || !strings.HasPrefix(r.URL.Path, "/v1/session-state/") {
+				srv.ServeHTTP(w, r)
+				return
+			}
+			sw := &statusWriter{ResponseWriter: w}
+			srv.ServeHTTP(sw, r)
+			putMu.Lock()
+			statePuts = append(statePuts, sw.status)
+			putMu.Unlock()
+		})
 		servers[n].Start()
 	}
 	waitCond := func(what string, cond func() bool) {
@@ -759,7 +791,7 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 	beforeBytes := encode(before)
 	cfgBefore := donor.Config()
 
-	writePeers("gw-a", "gw-b")
+	writePeers("gw-a", "gw-b", "gw-d")
 	waitCond("every replica to apply the change", func() bool {
 		for _, n := range names {
 			if clusters[n].Generation() < 2 {
@@ -792,11 +824,18 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 	if !bytes.Equal(encode(after), beforeBytes) {
 		t.Fatalf("handoff was lossy:\nbefore: %+v\nafter:  %+v", before, after)
 	}
-	stateful := gws["gw-a"].Stats().HandoffsStateful + gws["gw-b"].Stats().HandoffsStateful
-	if stateful != 1 {
+	fleet := func(counter func(adasense.ServingStats) uint64) (sum uint64) {
+		for _, n := range names {
+			sum += counter(gws[n].Stats())
+		}
+		return sum
+	}
+	statefulOf := func(s adasense.ServingStats) uint64 { return s.HandoffsStateful }
+	coldOf := func(s adasense.ServingStats) uint64 { return s.HandoffsCold }
+	if stateful := fleet(statefulOf); stateful != 1 {
 		t.Errorf("fleet HandoffsStateful = %d after one graceful departure, want 1", stateful)
 	}
-	if cold := gws["gw-a"].Stats().HandoffsCold + gws["gw-b"].Stats().HandoffsCold; cold != 0 {
+	if cold := fleet(coldOf); cold != 0 {
 		t.Errorf("fleet HandoffsCold = %d, the stateful path needed no fallback", cold)
 	}
 	// The device's next push lands on the moved session.
@@ -805,14 +844,65 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 		t.Fatalf("post-handoff push failed: %v", err)
 	}
 
+	// --- Refused half: gw-d leaves gracefully, but the survivors serve
+	// another model generation, so its snapshot is refused. ---
+	refusedID := deviceOwnedBy(t, clusters["gw-a"], "gw-d")
+	openAndDescend("gw-d", refusedID, 151)
+	for _, n := range []string{"gw-a", "gw-b"} {
+		// A local swap, not a fleet push: gw-d keeps generation 1.
+		if err := gws[n].SwapModel(quickSystem(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putsBefore := len(putStatuses())
+	senderErrs := gws["gw-d"].Stats().PeerErrors
+	statefulBefore, coldBefore := fleet(statefulOf), fleet(coldOf)
+	// The receivers apply the change first, so the one PUT meets a ring
+	// that already names its receiver as owner (a lagging ring answers
+	// 503, which is retried).
+	writePeersOf([]string{"gw-a", "gw-b"}, "gw-a", "gw-b")
+	waitCond("gw-a and gw-b to apply the change", func() bool {
+		return clusters["gw-a"].Generation() >= 3 && clusters["gw-b"].Generation() >= 3
+	})
+	writePeersOf([]string{"gw-d"}, "gw-a", "gw-b")
+	waitCond("gw-d to drain", func() bool { return gws["gw-d"].NumSessions() == 0 })
+	waitCond("the refused state transfer", func() bool { return gws["gw-d"].Stats().PeerErrors > senderErrs })
+	// A retry would follow 250 ms after the refusal; wait past it.
+	time.Sleep(400 * time.Millisecond)
+	if puts := putStatuses()[putsBefore:]; len(puts) != 1 || puts[0] != http.StatusConflict {
+		t.Fatalf("state PUTs after the refused handoff answered %v, want exactly one 409", puts)
+	}
+	if got := gws["gw-d"].Stats().PeerErrors - senderErrs; got != 1 {
+		t.Errorf("sender counted %d failed attempts, want 1", got)
+	}
+	if got := fleet(statefulOf); got != statefulBefore {
+		t.Errorf("fleet HandoffsStateful moved %d -> %d on a refused snapshot", statefulBefore, got)
+	}
+	refusedBatch := jsonBody(t, wireBatch(t, 1))
+	if code := doFed(t, "POST", servers["gw-a"].URL+"/v1/sessions/"+refusedID+"/push", "", refusedBatch, nil); code != 200 {
+		t.Fatalf("push after the refused handoff = %d, want 200", code)
+	}
+	refusedOwner, _ := clusters["gw-a"].Route(refusedID)
+	readopted, ok := gws[refusedOwner.ID].Lookup(refusedID)
+	if !ok {
+		t.Fatalf("new owner %s does not hold %s after its push", refusedOwner.ID, refusedID)
+	}
+	if readopted.Config() != top {
+		t.Errorf("refused snapshot still moved state: %s", readopted.Config().Name())
+	}
+	if got := fleet(coldOf) - coldBefore; got != 1 {
+		t.Errorf("fleet HandoffsCold rose by %d after the refused handoff, want 1", got)
+	}
+
 	// --- Cold half: gw-b dies without handing anything off. ---
 	coldID := deviceOwnedBy(t, clusters["gw-a"], "gw-b")
 	openAndDescend("gw-b", coldID, 201)
-	statefulBefore := gws["gw-a"].Stats().HandoffsStateful
+	statefulBefore = gws["gw-a"].Stats().HandoffsStateful
+	coldBefore = gws["gw-a"].Stats().HandoffsCold
 	clusters["gw-b"].Close()
 	servers["gw-b"].Close()
 	writePeers("gw-a")
-	waitCond("gw-a to apply the final change", func() bool { return clusters["gw-a"].Generation() >= 3 })
+	waitCond("gw-a to apply the final change", func() bool { return clusters["gw-a"].Generation() >= 4 })
 
 	// The dead owner sent nothing, so the device's own reconnect is what
 	// revives it: the first push on the survivor adopts the session cold.
@@ -835,8 +925,8 @@ func TestFederationStatefulHandoffColdFallback(t *testing.T) {
 	if adopted.Config() != top {
 		t.Errorf("cold adoption kept state it could not have received: %s", adopted.Config().Name())
 	}
-	if cold := gws["gw-a"].Stats().HandoffsCold; cold != 1 {
-		t.Errorf("gw-a HandoffsCold = %d after the fallback, want 1", cold)
+	if cold := gws["gw-a"].Stats().HandoffsCold - coldBefore; cold != 1 {
+		t.Errorf("gw-a HandoffsCold rose by %d after the fallback, want 1", cold)
 	}
 	if got := gws["gw-a"].Stats().HandoffsStateful; got != statefulBefore {
 		t.Errorf("gw-a HandoffsStateful moved %d -> %d with no live peer to send state", statefulBefore, got)

@@ -147,9 +147,6 @@ func main() {
 	flag.DurationVar(&cfg.peersDebounce, "peers-debounce", 0,
 		"publish a -peers-file change only after its content is stable this long "+
 			"(0 = immediately; set ≥ one -peers-poll to tolerate non-atomic writers)")
-	flag.BoolVar(&cfg.handoffState, "handoff-state", true,
-		"transfer live session state to the new owner on rebalance "+
-			"(false: close sessions and let the new owner re-open them cold)")
 	rolloutDefaults := adasense.DefaultRolloutConfig()
 	flag.StringVar(&cfg.rolloutStages, "rollout-stages", "0.05,0.25,1",
 		"canary cohort fractions per rollout stage (ascending, last must be 1)")
@@ -212,7 +209,6 @@ type gatewayFlags struct {
 	peersFile                 string
 	peersPoll                 time.Duration
 	peersDebounce             time.Duration
-	handoffState              bool
 	// Set-ness recorded via flag.Visit, so passing a flag at its default
 	// value is still caught by the static-peers misconfiguration guard.
 	peersPollSet, peersDebounceSet bool
@@ -325,7 +321,6 @@ func buildCluster(gw *adasense.Gateway, cfg gatewayFlags) (*adasense.Cluster, *m
 	if cfg.token != "" {
 		opts = append(opts, adasense.WithPeerAuth(cfg.token))
 	}
-	opts = append(opts, adasense.WithStatefulHandoff(cfg.handoffState))
 	if cfg.peersFile != "" {
 		src, err := membership.NewFileSource(cfg.peersFile,
 			membership.WithPollInterval(cfg.peersPoll),

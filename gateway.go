@@ -44,7 +44,6 @@ var (
 type gatewayConfig struct {
 	maxSessions  int
 	idleTTL      time.Duration
-	shards       int
 	clock        func() time.Time
 	svcOpts      []Option
 	authToken    string
@@ -92,19 +91,6 @@ func WithGatewayClock(now func() time.Time) GatewayOption {
 			return fmt.Errorf("adasense: nil gateway clock")
 		}
 		c.clock = now
-		return nil
-	}
-}
-
-// WithRegistryShards sets the session registry's shard count (rounded up
-// to a power of two, default 16). More shards reduce lock contention
-// under very large fleets.
-func WithRegistryShards(n int) GatewayOption {
-	return func(c *gatewayConfig) error {
-		if n <= 0 {
-			return fmt.Errorf("adasense: non-positive shard count %d", n)
-		}
-		c.shards = n
 		return nil
 	}
 }
@@ -170,8 +156,7 @@ func WithDrainTimeout(d time.Duration) GatewayOption {
 
 // WithServiceOptions sets the Service options the gateway applies to the
 // initial service and to every service it builds on SwapModel, so a
-// hot-swapped model keeps the fleet's window/hop, hardware models and
-// controller policy.
+// hot-swapped model keeps the fleet's controller policy.
 func WithServiceOptions(opts ...Option) GatewayOption {
 	return func(c *gatewayConfig) error {
 		c.svcOpts = append(c.svcOpts, opts...)
@@ -273,7 +258,7 @@ type Gateway struct {
 // WithServiceOptions configure the initial service and every hot-swapped
 // successor.
 func NewGateway(sys *System, opts ...GatewayOption) (*Gateway, error) {
-	cfg := gatewayConfig{shards: 16, clock: time.Now, drainTimeout: DefaultDrainTimeout}
+	cfg := gatewayConfig{clock: time.Now, drainTimeout: DefaultDrainTimeout}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -284,7 +269,6 @@ func NewGateway(sys *System, opts ...GatewayOption) (*Gateway, error) {
 	gw.modelGen.Store(1)
 	if cfg.rateLimited {
 		limiter, err := ratelimit.New(cfg.limits,
-			ratelimit.WithShards(cfg.shards),
 			ratelimit.WithClock(ratelimit.Clock(cfg.clock)),
 		)
 		if err != nil {
@@ -301,7 +285,6 @@ func NewGateway(sys *System, opts ...GatewayOption) (*Gateway, error) {
 	svc.gen = 1
 	gw.cur.Store(svc)
 	gw.reg = registry.New[*GatewaySession](
-		registry.WithShards(cfg.shards),
 		registry.WithCapacity(cfg.maxSessions),
 		registry.WithClock(registry.Clock(cfg.clock)),
 	)

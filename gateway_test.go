@@ -77,11 +77,8 @@ func TestNewGatewayValidation(t *testing.T) {
 	if _, err := adasense.NewGateway(sys, adasense.WithGatewayClock(nil)); err == nil {
 		t.Fatal("nil clock accepted")
 	}
-	if _, err := adasense.NewGateway(sys, adasense.WithRegistryShards(0)); err == nil {
-		t.Fatal("zero shards accepted")
-	}
 	// Service options propagate — an invalid one fails gateway construction.
-	if _, err := adasense.NewGateway(sys, adasense.WithServiceOptions(adasense.WithWindow(-1))); err == nil {
+	if _, err := adasense.NewGateway(sys, adasense.WithServiceOptions(adasense.WithControllerFactory(nil))); err == nil {
 		t.Fatal("invalid service option accepted")
 	}
 }

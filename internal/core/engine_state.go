@@ -67,6 +67,14 @@ func (e *Engine) Snapshot() *EngineState {
 // hop and window sizes. On error the engine is left Reset — the cold
 // fallback state — never half-restored.
 func (e *Engine) Restore(es *EngineState) error {
+	if err := e.restore(es); err != nil {
+		e.Reset()
+		return err
+	}
+	return nil
+}
+
+func (e *Engine) restore(es *EngineState) error {
 	if err := es.Config.Validate(); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
@@ -93,7 +101,6 @@ func (e *Engine) Restore(es *EngineState) error {
 	e.controller.Reset()
 	if stateful {
 		if err := e.controller.(StatefulController).RestoreState(es.CtlState); err != nil {
-			e.Reset()
 			return fmt.Errorf("core: restore: %w", err)
 		}
 	}
@@ -102,7 +109,6 @@ func (e *Engine) Restore(es *EngineState) error {
 		// configuration than the snapshotting one did — the two sides
 		// hold different state lists. Refuse rather than classify
 		// wrongly-rated samples.
-		e.Reset()
 		return fmt.Errorf("core: restore: controller resolves to %s, snapshot was at %s",
 			got.Name(), es.Config.Name())
 	}

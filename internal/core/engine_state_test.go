@@ -256,13 +256,16 @@ func TestEngineRestoreRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold := e.Config()
+			cold := e.Snapshot()
+			// Use the engine first, so a refusal that skips the reset
+			// leaves a window, a pending count or a trajectory behind.
+			drive(e, 701, 7)
 			if err := e.Restore(es); err == nil {
 				t.Fatal("mangled snapshot accepted")
 			}
-			if e.Config() != cold {
-				t.Fatalf("failed restore left engine at %s, want cold %s",
-					e.Config().Name(), cold.Name())
+			if got := e.Snapshot(); !reflect.DeepEqual(got, cold) {
+				t.Fatalf("failed restore left engine at %s (pending %d, %d window samples), want cold %s",
+					got.Config.Name(), got.Pending, got.WindowLen(), cold.Config.Name())
 			}
 			// The engine must still serve from its cold state.
 			drive(e, 601, 4)

@@ -214,6 +214,7 @@ func (s *SPOT) Observe(activity synth.Activity, confidence float64) {
 func (s *SPOT) Reset() {
 	s.idx = 0
 	s.counter = 0
+	s.last = 0
 	s.hasLast = false
 	s.lastCondition = Warmup
 }

@@ -217,8 +217,29 @@ func BenchmarkQuantizedPredict(b *testing.B) {
 	}
 }
 
+// TestQuantizedPredictAllocs pins the steady-state inference path, the
+// workspace form of Predict, at zero allocations.
+func TestQuantizedPredictAllocs(t *testing.T) {
+	q := Quantize(nn.New(15, 32, 6, rng.New(1)))
+	ws := NewWorkspace(q)
+	x := make([]float64, 15)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"PredictWS", func() { q.PredictWS(ws, x) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+				t.Fatalf("%v allocs per prediction, want 0", got)
+			}
+		})
+	}
+}
+
 // BenchmarkQuantizedPredictWS is the workspace form — the steady-state
-// inference path. Pinned at 0 allocs/op by scripts/bench-diff.sh.
+// inference path. Pinned at 0 allocs/op by TestQuantizedPredictAllocs.
 func BenchmarkQuantizedPredictWS(b *testing.B) {
 	q := Quantize(nn.New(15, 32, 6, rng.New(1)))
 	ws := NewWorkspace(q)

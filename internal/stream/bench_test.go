@@ -20,9 +20,47 @@ func benchBatch() *BatchMsg {
 	return m
 }
 
+// TestStreamFrameAllocs pins the frame codec's hot paths at zero
+// allocations: building a batch frame into a reused buffer (the device
+// and ack side) and validating plus decoding one into a reused BatchMsg
+// (the gateway side).
+func TestStreamFrameAllocs(t *testing.T) {
+	m := benchBatch()
+	var buf []byte
+	data := AppendFrame(nil, FrameBatch, AppendBatch(nil, m))
+	var dec BatchMsg
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"encode", func() {
+			buf = BeginFrame(buf[:0], FrameBatch)
+			buf = AppendBatch(buf, m)
+			buf = EndFrame(buf, 0)
+		}},
+		{"decode", func() {
+			f, _, err := DecodeFrame(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.Decode(f.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.fn() // size the reused buffers
+			if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+				t.Fatalf("%v allocs per frame, want 0", got)
+			}
+		})
+	}
+}
+
 // BenchmarkStreamFrameEncode measures building one batch frame into a
 // reused buffer — the device-side (and ack-side) hot path. Pinned at 0
-// allocs/op by scripts/bench-diff.sh.
+// allocs/op by TestStreamFrameAllocs.
 func BenchmarkStreamFrameEncode(b *testing.B) {
 	m := benchBatch()
 	var buf []byte
@@ -41,7 +79,7 @@ func BenchmarkStreamFrameEncode(b *testing.B) {
 
 // BenchmarkStreamFrameDecode measures envelope validation plus batch
 // payload decode into reused structs — the gateway-side hot path.
-// Pinned at 0 allocs/op by scripts/bench-diff.sh.
+// Pinned at 0 allocs/op by TestStreamFrameAllocs.
 func BenchmarkStreamFrameDecode(b *testing.B) {
 	m := benchBatch()
 	data := AppendFrame(nil, FrameBatch, AppendBatch(nil, m))

@@ -228,6 +228,25 @@ func TestEncoderGaugeWithLabels(t *testing.T) {
 	}
 }
 
+// TestTelemetryAllocs pins the instruments that sit on the serving hot
+// path (an Observe per request) at zero allocations.
+func TestTelemetryAllocs(t *testing.T) {
+	var h Histogram
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"HistogramObserve", func() { h.Observe(3 * time.Microsecond) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+				t.Fatalf("%v allocs per call, want 0", got)
+			}
+		})
+	}
+}
+
 func BenchmarkTelemetryHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

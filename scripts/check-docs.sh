@@ -15,6 +15,9 @@
 #      every frame type and close code internal/stream/frame.go defines
 #      with its wire value, and must not cite a constant the code has
 #      dropped — the spec and the implementation cannot drift apart.
+#   5. docs/operations.md's flag table must have a row for every flag
+#      cmd/adasense-gateway/main.go defines, and every row must name a
+#      flag the binary still defines.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -120,6 +123,38 @@ else
     done < <(grep -ohE '`(Frame[A-Z][A-Za-z]*|Code[A-Z][A-Za-z]*)`' "$spec" | tr -d '`' | sort -u)
     if [ "$fail" -eq 0 ]; then
         echo "check-docs: $nconst ADSP wire constants match $spec"
+    fi
+fi
+
+# --- gateway flag table ------------------------------------------------
+# Both directions: every flag main.go defines has a row in the
+# operations.md "## Flags" table, and every row names a defined flag.
+ops=docs/operations.md
+defined=$(grep -ohE 'flag\.[A-Za-z0-9]*Var\([^,]+, "[a-z0-9-]+"' cmd/adasense-gateway/main.go |
+    sed -E 's/.*"([a-z0-9-]+)"$/\1/' | sort -u)
+rows=$(awk '/^## /{ in_flags = ($0 == "## Flags") } in_flags' "$ops" |
+    grep -oE '^\| `-[a-z0-9-]+`' | sed -E 's/^\| `-//; s/`$//' | sort -u)
+if [ -z "$defined" ] || [ -z "$rows" ]; then
+    echo "check-docs: could not extract the gateway flags or the $ops flag table" >&2
+    fail=1
+else
+    flagfail=0
+    while IFS= read -r f; do
+        if ! grep -qxF "$f" <<< "$rows"; then
+            echo "check-docs: gateway flag -$f has no row in $ops" >&2
+            flagfail=1
+        fi
+    done <<< "$defined"
+    while IFS= read -r f; do
+        if ! grep -qxF "$f" <<< "$defined"; then
+            echo "check-docs: $ops documents -$f, which the gateway no longer defines" >&2
+            flagfail=1
+        fi
+    done <<< "$rows"
+    if [ "$flagfail" -eq 0 ]; then
+        echo "check-docs: $(echo "$defined" | wc -l | tr -d ' ') gateway flags match the $ops flag table"
+    else
+        fail=1
     fi
 fi
 exit $fail

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"adasense/internal/core"
-	"adasense/internal/mcu"
 	"adasense/internal/rng"
 	"adasense/internal/sensor"
 	"adasense/internal/sim"
@@ -35,50 +34,25 @@ func NewSampler(noise NoiseModel, seed uint64) *Sampler {
 	return sensor.NewSampler(noise, rng.New(seed))
 }
 
-// MCUModel is the processing unit's energy model.
-type MCUModel = mcu.Model
-
-// DefaultMCUModel returns Cortex-M4-class MCU constants.
-func DefaultMCUModel() MCUModel { return mcu.Default() }
+// AdaSense serves at one operating point: the paper's 2 s classification
+// window advanced by a 1 s hop, over BMI160-class sensor power and noise
+// models and a Cortex-M4-class MCU model (sensor.DefaultPowerModel,
+// sensor.DefaultNoiseModel, mcu.Default). Every session snapshot records
+// the geometry, and a restore refuses any other.
+const (
+	windowSec = 2
+	hopSec    = 1
+)
 
 // serviceConfig holds the shared defaults a Service applies to every
 // session and simulation it creates.
 type serviceConfig struct {
-	windowSec     float64
-	hopSec        float64
-	power         sensor.PowerModel
-	noise         sensor.NoiseModel
-	mcu           mcu.Model
 	newController func() Controller
 }
 
 // Option configures a Service. Options are applied in order at
 // NewService time; a failing option aborts construction.
 type Option func(*serviceConfig) error
-
-// WithWindow sets the classification window length in seconds (default
-// 2, the paper's).
-func WithWindow(sec float64) Option {
-	return func(c *serviceConfig) error {
-		if sec <= 0 {
-			return fmt.Errorf("adasense: non-positive window %v", sec)
-		}
-		c.windowSec = sec
-		return nil
-	}
-}
-
-// WithHop sets the classification hop in seconds (default 1, the
-// paper's). The window must be at least one hop long.
-func WithHop(sec float64) Option {
-	return func(c *serviceConfig) error {
-		if sec <= 0 {
-			return fmt.Errorf("adasense: non-positive hop %v", sec)
-		}
-		c.hopSec = sec
-		return nil
-	}
-}
 
 // WithControllerFactory sets the factory minting each session's (and each
 // RunMany worker's) adaptation policy. The factory must return a fresh,
@@ -91,32 +65,6 @@ func WithControllerFactory(f func() Controller) Option {
 			return fmt.Errorf("adasense: nil controller factory")
 		}
 		c.newController = f
-		return nil
-	}
-}
-
-// WithPowerModel overrides the sensor's duty-cycle current model.
-func WithPowerModel(p PowerModel) Option {
-	return func(c *serviceConfig) error {
-		c.power = p
-		return nil
-	}
-}
-
-// WithNoiseModel overrides the sensor's reading-noise model used by
-// simulations.
-func WithNoiseModel(n NoiseModel) Option {
-	return func(c *serviceConfig) error {
-		c.noise = n
-		return nil
-	}
-}
-
-// WithMCUModel overrides the processing unit's energy model used by
-// simulations.
-func WithMCUModel(m MCUModel) Option {
-	return func(c *serviceConfig) error {
-		c.mcu = m
 		return nil
 	}
 }
@@ -161,28 +109,18 @@ type Service struct {
 
 // NewService wraps a trained system in a serving layer. The options set
 // the defaults shared by every session and simulation; omitted options
-// keep the paper's values (2 s window, 1 s hop, BMI160-class power and
-// noise models, Cortex-M4-class MCU model, SPOT-with-confidence
-// controller at a 10 s threshold).
+// keep the paper's SPOT-with-confidence controller at a 10 s threshold.
 func NewService(sys *System, opts ...Option) (*Service, error) {
 	if sys == nil || sys.Network == nil {
 		return nil, fmt.Errorf("adasense: NewService needs a trained system")
 	}
 	cfg := serviceConfig{
-		windowSec:     2,
-		hopSec:        1,
-		power:         sensor.DefaultPowerModel(),
-		noise:         sensor.DefaultNoiseModel(),
-		mcu:           mcu.Default(),
 		newController: func() Controller { return NewSPOTWithConfidence(10) },
 	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.windowSec < cfg.hopSec {
-		return nil, fmt.Errorf("adasense: window %v shorter than hop %v", cfg.windowSec, cfg.hopSec)
 	}
 	// Surface feature-layout mismatches now rather than on first use; the
 	// validation pipeline seeds the pool.
@@ -198,14 +136,9 @@ func NewService(sys *System, opts ...Option) (*Service, error) {
 // System returns the immutable trained system the service serves.
 func (svc *Service) System() *System { return svc.sys }
 
-// Window returns the service's classification window length in seconds.
-func (svc *Service) Window() float64 { return svc.cfg.windowSec }
-
-// Hop returns the service's classification hop in seconds.
-func (svc *Service) Hop() float64 { return svc.cfg.hopSec }
-
-// PowerModel returns the service's sensor power model.
-func (svc *Service) PowerModel() PowerModel { return svc.cfg.power }
+// PowerModel returns the sensor power model the service charges
+// sessions' energy estimates against.
+func (svc *Service) PowerModel() PowerModel { return sensor.DefaultPowerModel() }
 
 // acquire checks a pipeline out of the pool, building a fresh one on a
 // pool miss. A build failure surfaces the underlying construction error
@@ -289,7 +222,7 @@ func (svc *Service) OpenSession(id string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(pipe, svc.cfg.newController(), svc.cfg.windowSec, svc.cfg.hopSec)
+	eng, err := core.NewEngine(pipe, svc.cfg.newController(), windowSec, hopSec)
 	if err != nil {
 		svc.release(pipe)
 		return nil, err
@@ -320,7 +253,7 @@ func (s *Session) Push(b *Batch) ([]Event, error) {
 	// when a mid-batch switch discards the tail, so the whole duration
 	// is charged at that configuration.
 	s.elapsedSec += b.Duration()
-	s.chargeUC += s.svc.cfg.power.ChargeUC(b.Config, b.Duration())
+	s.chargeUC += sensor.DefaultPowerModel().ChargeUC(b.Config, b.Duration())
 	s.svc.tel.BatchesPushed.Add(1)
 	if len(events) > 0 {
 		s.svc.tel.EventsEmitted.Add(uint64(len(events)))
@@ -370,32 +303,35 @@ func (s *Session) SnapshotInto(st *SessionState) error {
 		return fmt.Errorf("adasense: session %q is closed", s.id)
 	}
 	st.Generation = s.svc.gen
-	st.WindowSec = s.svc.cfg.windowSec
-	st.HopSec = s.svc.cfg.hopSec
+	st.WindowSec = windowSec
+	st.HopSec = hopSec
 	s.engine.SnapshotInto(&st.Engine)
 	st.Energy = EnergyEstimate{ElapsedSec: s.elapsedSec, ChargeUC: s.chargeUC}
 	return nil
 }
 
 // Restore replaces the session's state with a snapshot taken from a
-// session of an identically configured service — same window/hop
-// geometry and controller flavor. The model generation is NOT checked
-// here (a bare Service has none); gateway-level restores enforce it. On
-// error the session is left Reset, the cold-open state.
+// session with the same window/hop geometry and controller flavor. The
+// model generation is NOT checked here (a bare Service has none);
+// gateway-level restores enforce it. On error the session is left
+// Reset, the cold-open state.
 func (s *Session) Restore(st *SessionState) error {
 	if s.closed {
 		return fmt.Errorf("adasense: session %q is closed", s.id)
 	}
-	if st.WindowSec != s.svc.cfg.windowSec || st.HopSec != s.svc.cfg.hopSec {
-		return fmt.Errorf("adasense: snapshot geometry %v/%v differs from service %v/%v",
-			st.WindowSec, st.HopSec, s.svc.cfg.windowSec, s.svc.cfg.hopSec)
-	}
-	if !(st.Energy.ElapsedSec >= 0) || !(st.Energy.ChargeUC >= 0) {
-		return fmt.Errorf("adasense: snapshot energy estimate %v s / %v µC is not non-negative",
+	var err error
+	switch {
+	case st.WindowSec != windowSec || st.HopSec != hopSec:
+		err = fmt.Errorf("adasense: snapshot geometry %v/%v differs from service %v/%v",
+			st.WindowSec, st.HopSec, windowSec, hopSec)
+	case !(st.Energy.ElapsedSec >= 0) || !(st.Energy.ChargeUC >= 0):
+		err = fmt.Errorf("adasense: snapshot energy estimate %v s / %v µC is not non-negative",
 			st.Energy.ElapsedSec, st.Energy.ChargeUC)
+	default:
+		err = s.engine.Restore(&st.Engine)
 	}
-	if err := s.engine.Restore(&st.Engine); err != nil {
-		s.elapsedSec, s.chargeUC = 0, 0
+	if err != nil {
+		s.Reset()
 		return err
 	}
 	s.elapsedSec = st.Energy.ElapsedSec
@@ -429,9 +365,9 @@ func (s *Session) Close() {
 
 // RunSpec describes one closed-loop simulation for Service.Run and
 // Service.RunMany. The service fills in everything SimulationSpec would
-// otherwise make every caller re-plumb: window/hop, power/noise/MCU
-// models and (when Controller is nil) a fresh controller from the
-// service's factory.
+// otherwise make every caller re-plumb: the window/hop geometry, the
+// default power/noise/MCU models and (when Controller is nil) a fresh
+// controller from the service's factory.
 type RunSpec struct {
 	// Motion is the ground-truth signal (required).
 	Motion *Motion
@@ -538,16 +474,14 @@ func (svc *Service) runOne(spec RunSpec, pipe *Pipeline) (SimulationResult, erro
 	if ctl == nil {
 		ctl = svc.cfg.newController()
 	}
-	power, noise, mcuModel := svc.cfg.power, svc.cfg.noise, svc.cfg.mcu
+	// Nil Power/Noise/MCU models take sim's defaults, the same hardware
+	// models sessions are charged against.
 	return sim.Run(sim.Spec{
 		Motion:      spec.Motion,
 		Controller:  ctl,
 		Classifier:  pipe,
-		WindowSec:   svc.cfg.windowSec,
-		HopSec:      svc.cfg.hopSec,
-		Power:       &power,
-		Noise:       &noise,
-		MCU:         &mcuModel,
+		WindowSec:   windowSec,
+		HopSec:      hopSec,
 		Record:      spec.Record,
 		RecordAccel: spec.RecordAccel,
 	}, rng.New(spec.Seed))

@@ -28,15 +28,6 @@ func TestNewServiceValidation(t *testing.T) {
 	if _, err := adasense.NewService(nil); err == nil {
 		t.Fatal("nil system accepted")
 	}
-	if _, err := adasense.NewService(sys, adasense.WithWindow(-1)); err == nil {
-		t.Fatal("negative window accepted")
-	}
-	if _, err := adasense.NewService(sys, adasense.WithHop(0)); err == nil {
-		t.Fatal("zero hop accepted")
-	}
-	if _, err := adasense.NewService(sys, adasense.WithWindow(1), adasense.WithHop(2)); err == nil {
-		t.Fatal("window shorter than hop accepted")
-	}
 	if _, err := adasense.NewService(sys, adasense.WithControllerFactory(nil)); err == nil {
 		t.Fatal("nil controller factory accepted")
 	}
@@ -44,38 +35,31 @@ func TestNewServiceValidation(t *testing.T) {
 
 func TestServiceDefaultsAndOptions(t *testing.T) {
 	svc := testService(t)
-	if svc.Window() != 2 || svc.Hop() != 1 {
-		t.Fatalf("defaults = %v/%v, want 2/1", svc.Window(), svc.Hop())
+	if svc.PowerModel() != adasense.DefaultPowerModel() {
+		t.Fatalf("power model = %+v, want the default", svc.PowerModel())
 	}
-	custom := adasense.PowerModel{ActiveCurrentUA: 90, SuspendCurrentUA: 1, WakeOverheadSec: 0.001}
-	svc2 := testService(t,
-		adasense.WithWindow(4),
-		adasense.WithHop(2),
-		adasense.WithPowerModel(custom),
-		adasense.WithNoiseModel(adasense.DefaultNoiseModel()),
-		adasense.WithMCUModel(adasense.DefaultMCUModel()),
-	)
-	if svc2.Window() != 4 || svc2.Hop() != 2 {
-		t.Fatalf("options = %v/%v, want 4/2", svc2.Window(), svc2.Hop())
-	}
-	if svc2.PowerModel() != custom {
-		t.Fatal("power model option lost")
-	}
-	// The hop option must reach the session's engine: a 4 s push at a
-	// 2 s hop completes exactly two classification ticks.
-	sess, err := svc2.OpenSession("hop-check")
+	sess, err := svc.OpenSession("geometry-check")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	st, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WindowSec != 2 || st.HopSec != 1 {
+		t.Fatalf("snapshot geometry = %v/%v, want 2/1", st.WindowSec, st.HopSec)
+	}
+	// The 1 s hop reaches the session's engine: a 4 s push completes
+	// exactly four classification ticks.
 	m := adasense.NewMotion(mustSchedule(t, adasense.Segment{Activity: adasense.Sit, Duration: 10}), 5)
 	b := adasense.NewSampler(adasense.DefaultNoiseModel(), 6).Sample(m, sess.Config(), 0, 4)
 	events, err := sess.Push(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("4 s push at 2 s hop produced %d events, want 2", len(events))
+	if len(events) != 4 {
+		t.Fatalf("4 s push at a 1 s hop produced %d events, want 4", len(events))
 	}
 }
 

@@ -224,6 +224,30 @@ func TestDecodeSessionStateRejectsImplausibleLengths(t *testing.T) {
 	}
 }
 
+// TestSessionStateAllocs pins the ADSS encoder at zero allocations when
+// it appends into a buffer with room, as SnapshotInto's callers do.
+func TestSessionStateAllocs(t *testing.T) {
+	st := codecState()
+	dst := make([]byte, 0, st.EncodedLen())
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"encode", func() {
+			if _, err := st.AppendBinary(dst[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+				t.Fatalf("%v allocs per call, want 0", got)
+			}
+		})
+	}
+}
+
 func BenchmarkSessionStateEncode(b *testing.B) {
 	st := codecState()
 	dst := make([]byte, 0, st.EncodedLen())

@@ -130,81 +130,82 @@ func TestSessionSnapshotRestoreDifferential(t *testing.T) {
 	}
 }
 
+// TestSessionRestoreRejects drives every refusal path of
+// Session.Restore from a used session and asserts each refusal leaves
+// the session Reset: a zero energy ledger and the engine in its opening
+// state.
 func TestSessionRestoreRejects(t *testing.T) {
 	svc := testService(t, spotFleet(2))
-	goodState := func() *adasense.SessionState {
-		sess, err := svc.OpenSession("donor-" + t.Name())
+	m := adasense.NewMotion(mustSchedule(t, adasense.Segment{Activity: adasense.Sit, Duration: 10}), 41)
+	// used opens a session and pushes 1.3 s of readings into it, so it
+	// holds a window remainder, a pending count and an energy ledger.
+	used := func(id string) *adasense.Session {
+		t.Helper()
+		sess, err := svc.OpenSession(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sess.Close()
+		b := adasense.NewSampler(adasense.DefaultNoiseModel(), 42).Sample(m, sess.Config(), 0, 1.3)
+		if _, err := sess.Push(b); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	snapshot := func(sess *adasense.Session) *adasense.SessionState {
+		t.Helper()
 		st, err := sess.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
+	fresh, err := svc.OpenSession("fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := snapshot(fresh)
+	fresh.Close()
 
-	t.Run("geometry mismatch", func(t *testing.T) {
-		st := goodState()
-		st.WindowSec, st.HopSec = 4, 2
-		sess, err := svc.OpenSession("geom")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		if err := sess.Restore(st); err == nil {
-			t.Fatal("mismatched geometry accepted")
-		}
-	})
-	t.Run("negative energy", func(t *testing.T) {
-		st := goodState()
-		st.Energy.ChargeUC = -1
-		sess, err := svc.OpenSession("energy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		if err := sess.Restore(st); err == nil {
-			t.Fatal("negative energy accepted")
-		}
-	})
-	t.Run("NaN energy", func(t *testing.T) {
-		st := goodState()
-		st.Energy.ElapsedSec = math.NaN()
-		sess, err := svc.OpenSession("nan")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		if err := sess.Restore(st); err == nil {
-			t.Fatal("NaN energy accepted")
-		}
-	})
-	t.Run("engine reject resets energy", func(t *testing.T) {
-		sess, err := svc.OpenSession("reset")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		// Accumulate some energy, then feed a snapshot whose controller
-		// payload is corrupt: the session must come out cold.
-		m := adasense.NewMotion(mustSchedule(t, adasense.Segment{Activity: adasense.Sit, Duration: 10}), 41)
-		b := adasense.NewSampler(adasense.DefaultNoiseModel(), 42).Sample(m, sess.Config(), 0, 1)
-		if _, err := sess.Push(b); err != nil {
-			t.Fatal(err)
-		}
-		st := goodState()
-		st.Engine.CtlState = st.Engine.CtlState[:3]
-		if err := sess.Restore(st); err == nil {
-			t.Fatal("corrupt controller payload accepted")
-		}
-		if e := sess.Energy(); e.ElapsedSec != 0 || e.ChargeUC != 0 {
-			t.Fatalf("failed restore kept energy %+v", e)
-		}
-	})
+	cases := []struct {
+		name   string
+		mangle func(*adasense.SessionState)
+	}{
+		{"geometry mismatch", func(st *adasense.SessionState) { st.WindowSec, st.HopSec = 4, 2 }},
+		{"negative energy", func(st *adasense.SessionState) { st.Energy.ChargeUC = -1 }},
+		{"NaN energy", func(st *adasense.SessionState) { st.Energy.ElapsedSec = math.NaN() }},
+		{"engine reject resets energy", func(st *adasense.SessionState) {
+			st.Engine.CtlState = st.Engine.CtlState[:3]
+		}},
+		{"invalid config", func(st *adasense.SessionState) { st.Engine.Config = adasense.Config{FreqHz: -1} }},
+		{"controller kind mismatch", func(st *adasense.SessionState) { st.Engine.CtlKind = "spot/0" }},
+		{"pending outside hop", func(st *adasense.SessionState) { st.Engine.Pending = -1 }},
+		{"ragged window", func(st *adasense.SessionState) { st.Engine.Y = st.Engine.Y[:len(st.Engine.Y)-1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			donor := used("donor")
+			st := snapshot(donor)
+			donor.Close()
+			tc.mangle(st)
+
+			sess := used("target")
+			defer sess.Close()
+			if err := sess.Restore(st); err == nil {
+				t.Fatal("mangled snapshot accepted")
+			}
+			if e := sess.Energy(); e.ElapsedSec != 0 || e.ChargeUC != 0 {
+				t.Fatalf("refused restore kept the energy ledger %+v", e)
+			}
+			if got := snapshot(sess); !reflect.DeepEqual(got, cold) {
+				t.Fatalf("refused restore left the engine at %s (pending %d, %d window samples), want the opening state %s",
+					got.Engine.Config.Name(), got.Engine.Pending, got.Engine.WindowLen(), cold.Engine.Config.Name())
+			}
+		})
+	}
 	t.Run("closed session", func(t *testing.T) {
-		st := goodState()
+		donor := used("donor")
+		st := snapshot(donor)
+		donor.Close()
 		sess, err := svc.OpenSession("closed")
 		if err != nil {
 			t.Fatal(err)
