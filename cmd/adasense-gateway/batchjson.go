@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -92,11 +94,12 @@ const (
 // keys "config", "start_at", "x", "y" and "z" at most once, where config
 // is a printable-ASCII string with no escapes, start_at a JSON number,
 // and each axis an array of JSON numbers; only whitespace may follow
-// the object. Numbers are checked against the JSON grammar as they are
-// scanned and converted by strconv.ParseFloat, as encoding/json converts
-// them. Anything else — escapes, null, other or case-folded keys,
-// duplicates, nested values, out-of-range numbers, malformed input —
-// reports false, leaving sc.bj for the caller to overwrite.
+// the object. parseNumber checks each number against the JSON grammar
+// and converts it in the same pass, to the float64 strconv.ParseFloat
+// returns, as encoding/json converts it. Anything else — escapes, null,
+// other or case-folded keys, duplicates, nested values, out-of-range
+// numbers, malformed input — reports false, leaving sc.bj for the
+// caller to overwrite.
 func (sc *batchScratch) parse(b []byte) bool {
 	sc.bj = batchJSON{}
 	i := skipSpace(b, 0)
@@ -249,36 +252,80 @@ func parseFloats(b []byte, i int, dst []float64) (vals []float64, end int, ok bo
 // parseNumber scans the JSON number starting at b[i] — checking the
 // grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? on the way,
 // since strconv.ParseFloat also accepts forms JSON does not (".5",
-// "+1", "Inf", hex) — and converts it. ok is false for a malformed
-// number or one out of float64 range.
+// "+1", "Inf", hex) — and converts it in the same pass. The scan keeps
+// the decimal mantissa of up to 19 significant digits and its power of
+// ten, which two exact conversions turn into the correctly rounded
+// float64 that strconv.ParseFloat returns (Lemire, "Number Parsing at a
+// Gigabyte per Second", 2021): Clinger's fast path for a mantissa of at
+// most 2^53 times an exactly representable power of ten, and
+// Eisel–Lemire otherwise. A number neither can decide — more than 19
+// significant digits, a power of ten outside pow10Table, a subnormal,
+// an overflow, a halfway case — goes to strconv.ParseFloat on the same
+// bytes. ok is false for a malformed number or one out of float64
+// range.
 func parseNumber(b []byte, i int) (v float64, end int, ok bool) {
 	start := i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var man uint64
+	nd := 0 // significant digits in man, counted from the first nonzero one
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		i, man, nd = scanDigits(b, i, man, nd)
 	default:
 		return 0, i, false
 	}
+	exp10 := 0
 	if i < len(b) && b[i] == '.' {
 		if i+1 == len(b) || !isDigit(b[i+1]) {
 			return 0, i, false
 		}
-		i = skipDigits(b, i+2)
+		frac := i + 1
+		i, man, nd = scanDigits(b, frac, man, nd)
+		exp10 = frac - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		expNeg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if i == len(b) || !isDigit(b[i]) {
 			return 0, i, false
 		}
-		i = skipDigits(b, i+1)
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 { // far past any table; saturate instead of overflowing
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if expNeg {
+			e = -e
+		}
+		exp10 += e
+	}
+	if nd <= 19 {
+		if man <= 1<<53 && -22 <= exp10 && exp10 <= 22 {
+			// float64(man) and the power of ten are exact, so the one
+			// rounding of the multiply or divide is the correct one.
+			v = float64(man)
+			if exp10 >= 0 {
+				v *= float64Pow10[exp10]
+			} else {
+				v /= float64Pow10[-exp10]
+			}
+			if neg {
+				v = -v
+			}
+			return v, i, true
+		}
+		if v, ok = eiselLemire64(man, exp10, neg); ok {
+			return v, i, true
+		}
 	}
 	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	return v, i, err == nil
@@ -286,11 +333,118 @@ func parseNumber(b []byte, i int) (v float64, end int, ok bool) {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
+// scanDigits consumes the digits from b[i] on, appending them to the
+// mantissa man and counting in nd the significant ones, those from the
+// first nonzero digit on. man holds the exact value only while nd ≤ 19.
+func scanDigits(b []byte, i int, man uint64, nd int) (end int, _ uint64, _ int) {
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		man = man*10 + uint64(b[i]-'0')
+		if nd > 0 || b[i] != '0' {
+			nd++
+		}
 	}
-	return i
+	return i, man, nd
+}
+
+// float64Pow10 holds the powers of ten a float64 represents exactly.
+var float64Pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// The powers of ten pow10Table covers. Samples within ±8 g written with
+// up to 17 significant digits need about 10^-20 to 10^2; the rest of
+// the range is margin for other encoders.
+const (
+	minPow10 = -40
+	maxPow10 = 40
+)
+
+// pow10Table[k-minPow10] is 10^k's 128-bit mantissa as {low, high}
+// words: normalised so the top bit is set and rounded down, the layout
+// of strconv's own Eisel–Lemire table. Its binary exponent is implied
+// by 217706·k>>16, ⌊k·log2(10)⌋.
+var pow10Table = func() (t [maxPow10 - minPow10 + 1][2]uint64) {
+	ten := big.NewInt(10)
+	for k := minPow10; k <= maxPow10; k++ {
+		p := new(big.Int).Exp(ten, big.NewInt(int64(max(k, -k))), nil)
+		m := new(big.Int)
+		switch {
+		case k < 0: // ⌊2^(127+bits(p)) / p⌋ has exactly 128 bits
+			m.Quo(m.Lsh(big.NewInt(1), uint(127+p.BitLen())), p)
+		case p.BitLen() <= 128:
+			m.Lsh(p, uint(128-p.BitLen()))
+		default:
+			m.Rsh(p, uint(p.BitLen()-128))
+		}
+		t[k-minPow10] = [2]uint64{m.Uint64(), new(big.Int).Rsh(m, 64).Uint64()}
+	}
+	return t
+}()
+
+// eiselLemire64 is Go's strconv.eiselLemire64 over pow10Table: it
+// returns the correctly rounded float64 nearest to ±man·10^exp10, or ok
+// false when it cannot decide the rounding from 128 bits (a halfway or
+// near-halfway case), the result is subnormal or overflows, or exp10 is
+// outside the table. See https://nigeltao.github.io/blog/2020/eisel-lemire.html.
+func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+	if man == 0 {
+		if neg {
+			f = math.Copysign(0, -1)
+		}
+		return f, true
+	}
+	if exp10 < minPow10 || maxPow10 < exp10 {
+		return 0, false
+	}
+	// Normalise the mantissa.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	const float64ExponentBias = 1023
+	retExp2 := uint64(217706*exp10>>16+64+float64ExponentBias) - uint64(clz)
+
+	// Multiply by the high word; widen to all 128 bits only when the
+	// high word leaves the result's low bits undecided.
+	pow := &pow10Table[exp10-minPow10]
+	xHi, xLo := bits.Mul64(man, pow[1])
+	if xHi&0x1FF == 0x1FF && xLo+man < man {
+		yHi, yLo := bits.Mul64(man, pow[0])
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+
+	// Shift to 54 bits, refusing an exact halfway case, whose
+	// round-half-even needs digits the product no longer has.
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 {
+		return 0, false
+	}
+
+	// Round from 54 to 53 bits.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2++
+	}
+	// retExp2 of 0 (or wrapped below it) is subnormal, 0x7FF or more is
+	// Inf or NaN: both go to strconv.
+	if retExp2-1 >= 0x7FF-1 {
+		return 0, false
+	}
+	retBits := retExp2<<52 | retMantissa&(1<<52-1)
+	if neg {
+		retBits |= 1 << 63
+	}
+	return math.Float64frombits(retBits), true
 }
 
 // jsonContentType is the header value every writeReply shares, saving

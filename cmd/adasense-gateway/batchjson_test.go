@@ -9,10 +9,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"adasense"
+	"adasense/internal/synth"
 )
 
 // canonicalBody is a well-formed batch body in the shape clients send.
@@ -101,6 +103,87 @@ func TestParseBatchShapes(t *testing.T) {
 		if got := sc.parse([]byte(tc.body)); got != tc.fast {
 			t.Errorf("parse(%q) = %v, want %v", tc.body, got, tc.fast)
 		}
+	}
+}
+
+// TestParseNumberExact holds parseNumber to strconv.ParseFloat bit for
+// bit, in acceptance and in the index it stops at: on every ADC level
+// of the default ±8 g 16-bit sensor as json.Marshal writes it, on the
+// boundaries of each conversion path, and on random numbers in every
+// float format and digit count.
+func TestParseNumberExact(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := strconv.ParseFloat(s, 64)
+		got, end, ok := parseNumber([]byte(s), 0)
+		if ok != (err == nil) || end != len(s) || ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseNumber(%q) = %v (%#x), end %d, ok %v; strconv.ParseFloat = %v (%#x), %v",
+				s, got, math.Float64bits(got), end, ok, want, math.Float64bits(want), err)
+		}
+	}
+
+	noise := adasense.DefaultNoiseModel()
+	lsb := 2 * noise.FullScaleG * synth.Gravity / float64(uint64(1)<<noise.Bits)
+	levels := int(math.Round(noise.FullScaleG * synth.Gravity / lsb))
+	for k := -levels; k <= levels; k++ {
+		raw, err := json.Marshal(float64(k) * lsb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(string(raw))
+	}
+
+	for _, s := range []string{
+		"0", "-0", "-0.0", "0.000", "0e400", "-0e-400", "1", "-1", "0.5", "-2.25e-3",
+		// Clinger's bounds: a mantissa of at most 2^53, a power of ten
+		// of at most 22 either way.
+		"9007199254740992", "9007199254740992e22", "-9007199254740992e-22",
+		"1e22", "1e-22", "1e23", "1e-23", "9007199254740994e1",
+		// Eisel–Lemire, including a 17-digit reading and a halfway case
+		// it must hand to strconv.
+		"78.453199999999995", "-0.0023941040039062", "9007199254740993",
+		"9007199254740995", "1.0000000000000002", "123456789012345678e-40",
+		// 19 significant digits decide here; more go to strconv.
+		"1234567890123456789", "9999999999999999999", "12345678901234567890",
+		"92233720368547758080", "18446744073709551616", "0.10000000000000000555",
+		"100000000000000000000", "1.00000000000000000000000001",
+		// Outside the table, subnormal, at and past the float64 range.
+		"1e-41", "1e41", "1e-45", "1e45", "1e-400", "4.9e-324", "5e-324",
+		"2.2250738585072011e-308", "1.7976931348623157e308", "1.7976931348623159e308",
+		"1e309", "-1e309", "1e99999999999", "1e-99999999999", "0.0e99999999",
+		"0.0000000000000000000000000000000000000000000000000001",
+	} {
+		check(s)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50000; i++ {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsInf(f, 0) && !math.IsNaN(f) {
+			for _, format := range []byte{'f', 'e', 'g'} {
+				check(strconv.FormatFloat(f, format, -1, 64))
+				check(strconv.FormatFloat(f, format, rng.Intn(24), 64))
+			}
+		}
+		// Mantissas just past Clinger's bound, where rounding the
+		// mantissa first would round twice.
+		man := 1<<53 + rng.Uint64()%(1<<53)
+		check(strconv.FormatUint(man, 10) + "e" + strconv.Itoa(rng.Intn(45)-22))
+		// Any digit count, point and exponent.
+		digits := strconv.FormatUint(rng.Uint64(), 10) + strconv.FormatUint(rng.Uint64(), 10)
+		digits = digits[:1+rng.Intn(len(digits))]
+		if p := rng.Intn(len(digits) + 1); p > 0 && p < len(digits) {
+			digits = digits[:p] + "." + digits[p:]
+		}
+		check(digits + "e" + strconv.Itoa(rng.Intn(101)-50))
+	}
+
+	// The halfway case reaches strconv because Eisel–Lemire refuses it,
+	// not because an earlier path happens to skip it.
+	if _, ok := eiselLemire64(9007199254740993, 0, false); ok {
+		t.Fatal("eiselLemire64 decided the halfway case 2^53+1")
+	}
+	if _, ok := eiselLemire64(78453199999999995, -15, false); !ok {
+		t.Fatal("eiselLemire64 refused a 17-digit reading")
 	}
 }
 
@@ -305,5 +388,34 @@ func TestHandlePushAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, push); got > maxPushAllocs {
 		t.Fatalf("warm HTTP push = %v allocs, want <= %d", got, maxPushAllocs)
+	}
+}
+
+// BenchmarkDecodeBatch times the JSON door's batch decode alone on 2 s
+// batches as perfbench's http_fleet sends them: sampled by the default
+// sensor model and written by json.Marshal, at the richest and the
+// leanest Pareto configuration.
+func BenchmarkDecodeBatch(b *testing.B) {
+	sched, err := adasense.NewSchedule([]adasense.Segment{{Activity: adasense.Walk, Duration: 30}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"F100_A128", "F12.5_A8"} {
+		cfg, err := adasense.ParseConfig(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := adasense.NewSampler(adasense.DefaultNoiseModel(), 35).Sample(adasense.NewMotion(sched, 36), cfg, 0, 2)
+		body := jsonBody(b, batchJSON{Config: batch.Config.Name(), StartAt: batch.StartAt, X: batch.X, Y: batch.Y, Z: batch.Z})
+		b.Run(name, func(b *testing.B) {
+			sc := new(batchScratch)
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if err := sc.decode(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*3*batch.Len()), "ns/sample")
+		})
 	}
 }

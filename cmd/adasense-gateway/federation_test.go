@@ -361,7 +361,7 @@ func TestFederationAuthReused(t *testing.T) {
 	}
 }
 
-func jsonBody(t *testing.T, v any) []byte {
+func jsonBody(t testing.TB, v any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {

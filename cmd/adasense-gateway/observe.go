@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -87,7 +88,7 @@ func (s *server) observe(route telemetry.Route, h http.HandlerFunc) http.Handler
 			Spans:    tr.Spans(),
 		}
 		s.recorder.Record(rec)
-		s.logRequest(rec)
+		s.logRequest(r.Context(), rec)
 	}
 }
 
@@ -95,28 +96,31 @@ func (s *server) observe(route telemetry.Route, h http.HandlerFunc) http.Handler
 // for healthy traffic, warn once a request crosses the slow threshold
 // or dies with a 5xx, so `-log-level warn` keeps exactly the requests
 // an operator would page on.
-func (s *server) logRequest(rec reqtrace.Record) {
+func (s *server) logRequest(ctx context.Context, rec reqtrace.Record) {
 	level := slog.LevelInfo
 	if rec.Status >= 500 || rec.Duration >= s.recorder.SlowThreshold() {
 		level = slog.LevelWarn
 	}
-	attrs := []any{
-		"trace", rec.ID,
-		"hop", rec.Hop,
-		"route", rec.Route,
-		"method", rec.Method,
-		"path", rec.Path,
-		"status", rec.Status,
-		"dur", rec.Duration,
-		"replica", s.replica(),
+	if !s.log.Enabled(ctx, level) {
+		return
 	}
+	attrs := append(make([]slog.Attr, 0, 10),
+		slog.String("trace", rec.ID),
+		slog.Int("hop", rec.Hop),
+		slog.String("route", rec.Route),
+		slog.String("method", rec.Method),
+		slog.String("path", rec.Path),
+		slog.Int("status", rec.Status),
+		slog.Duration("dur", rec.Duration),
+		slog.String("replica", s.replica()),
+	)
 	if rec.Device != "" {
-		attrs = append(attrs, "device", rec.Device)
+		attrs = append(attrs, slog.String("device", rec.Device))
 	}
 	if level == slog.LevelWarn && rec.Status < 500 {
-		attrs = append(attrs, "slow", true)
+		attrs = append(attrs, slog.Bool("slow", true))
 	}
-	s.log.Log(nil, level, "request", attrs...)
+	s.log.LogAttrs(ctx, level, "request", attrs...)
 }
 
 // replica returns this server's fleet id, or "standalone".

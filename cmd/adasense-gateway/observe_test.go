@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"adasense"
 	"adasense/internal/reqtrace"
@@ -333,6 +336,76 @@ func validateFamilyBuckets(t *testing.T, family, text string) {
 		count, _ := strconv.ParseFloat(m[2], 64)
 		if st.inf != count {
 			t.Errorf("%s{%s}: +Inf bucket %v != _count %v", family, m[1], st.inf, count)
+		}
+	}
+}
+
+// TestLogRequestMatchesArgsForm: the typed-attr access log writes the
+// bytes the plain Log(args...) form wrote, through both handler kinds
+// and at a level that drops healthy traffic, for records with and
+// without a device, healthy, slow and failed.
+func TestLogRequestMatchesArgsForm(t *testing.T) {
+	const slow = 250 * time.Millisecond
+	// argsForm is the access log line as it was first written, kept as
+	// the oracle.
+	argsForm := func(log *slog.Logger, rec reqtrace.Record) {
+		level := slog.LevelInfo
+		if rec.Status >= 500 || rec.Duration >= slow {
+			level = slog.LevelWarn
+		}
+		attrs := []any{
+			"trace", rec.ID,
+			"hop", rec.Hop,
+			"route", rec.Route,
+			"method", rec.Method,
+			"path", rec.Path,
+			"status", rec.Status,
+			"dur", rec.Duration,
+			"replica", "standalone",
+		}
+		if rec.Device != "" {
+			attrs = append(attrs, "device", rec.Device)
+		}
+		if level == slog.LevelWarn && rec.Status < 500 {
+			attrs = append(attrs, "slow", true)
+		}
+		log.Log(nil, level, "request", attrs...)
+	}
+	noTime := func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}
+	handlers := map[string]func(io.Writer, *slog.HandlerOptions) slog.Handler{
+		"text": func(w io.Writer, o *slog.HandlerOptions) slog.Handler { return slog.NewTextHandler(w, o) },
+		"json": func(w io.Writer, o *slog.HandlerOptions) slog.Handler { return slog.NewJSONHandler(w, o) },
+	}
+	base := reqtrace.Record{ID: "0123456789abcdef", Hop: 1, Route: "push", Method: "POST",
+		Path: `/v1/sessions/dev "1"/push`, Device: `dev "1"`, Status: 200, Duration: 1234567 * time.Nanosecond}
+	var recs []reqtrace.Record
+	for _, status := range []int{200, 404, 503} {
+		for _, dur := range []time.Duration{base.Duration, slow, 3 * time.Second} {
+			for _, device := range []string{base.Device, ""} {
+				rec := base
+				rec.Status, rec.Duration, rec.Device = status, dur, device
+				recs = append(recs, rec)
+			}
+		}
+	}
+	for name, newHandler := range handlers {
+		for _, level := range []slog.Level{slog.LevelInfo, slog.LevelWarn} {
+			var got, want bytes.Buffer
+			opts := &slog.HandlerOptions{Level: level, ReplaceAttr: noTime}
+			s := &server{recorder: reqtrace.NewRecorder(1, slow), log: slog.New(newHandler(&got, opts))}
+			oracle := slog.New(newHandler(&want, opts))
+			for _, rec := range recs {
+				s.logRequest(context.Background(), rec)
+				argsForm(oracle, rec)
+			}
+			if want.Len() == 0 || got.String() != want.String() {
+				t.Errorf("%s handler at %v:\n got %s\nwant %s", name, level, got.String(), want.String())
+			}
 		}
 	}
 }

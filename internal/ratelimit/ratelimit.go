@@ -82,13 +82,11 @@ func (d Decision) String() string {
 type Option func(*options)
 
 type options struct {
-	shards int
-	now    Clock
+	now Clock
 }
 
-// WithShards sets the shard count (rounded up to a power of two,
-// default 16).
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
+// numShards is the shard count, a power of two.
+const numShards = 16
 
 // WithClock injects the time source (default time.Now).
 func WithClock(c Clock) Option { return func(o *options) { o.now = c } }
@@ -131,8 +129,7 @@ type shard struct {
 // goroutines.
 type Limiter struct {
 	limits Limits
-	shards []shard
-	mask   uint32
+	shards [numShards]shard
 	now    Clock
 
 	globalMu sync.Mutex
@@ -144,23 +141,11 @@ func New(limits Limits, opts ...Option) (*Limiter, error) {
 	if err := limits.validate(); err != nil {
 		return nil, err
 	}
-	o := options{shards: 16, now: time.Now}
+	o := options{now: time.Now}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.shards <= 0 {
-		return nil, fmt.Errorf("ratelimit: non-positive shard count %d", o.shards)
-	}
-	n := 1
-	for n < o.shards {
-		n <<= 1
-	}
-	l := &Limiter{
-		limits: limits,
-		shards: make([]shard, n),
-		mask:   uint32(n - 1),
-		now:    o.now,
-	}
+	l := &Limiter{limits: limits, now: o.now}
 	for i := range l.shards {
 		l.shards[i].m = make(map[string]*bucket)
 	}
@@ -210,7 +195,7 @@ func (l *Limiter) Allow(key string) Decision {
 		return Allowed
 	}
 	now := l.now().UnixNano()
-	s := &l.shards[fnv1a(key)&l.mask]
+	s := &l.shards[fnv1a(key)%numShards]
 	s.mu.Lock()
 	b, ok := s.m[key]
 	if !ok {

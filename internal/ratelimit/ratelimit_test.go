@@ -48,9 +48,6 @@ func TestValidation(t *testing.T) {
 			t.Errorf("New(%+v) accepted", limits)
 		}
 	}
-	if _, err := New(Limits{DeviceRate: 1, DeviceBurst: 1}, WithShards(0)); err == nil {
-		t.Error("zero shard count accepted")
-	}
 	// A negative rate disables its tier, exactly like zero.
 	l, err := New(Limits{DeviceRate: -1, GlobalRate: -2})
 	if err != nil {

@@ -35,8 +35,7 @@ type Clock func() time.Time
 // Registry is a sharded id → value table with last-activity tracking.
 // It is safe for concurrent use by any number of goroutines.
 type Registry[T comparable] struct {
-	shards []shard[T]
-	mask   uint32
+	shards [numShards]shard[T]
 	cap    int64 // 0 = unlimited
 	count  atomic.Int64
 	now    Clock
@@ -56,14 +55,12 @@ type entry[T comparable] struct {
 type Option func(*options)
 
 type options struct {
-	shards int
-	cap    int64
-	now    Clock
+	cap int64
+	now Clock
 }
 
-// WithShards sets the shard count (rounded up to a power of two,
-// default 16).
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
+// numShards is the shard count, a power of two.
+const numShards = 16
 
 // WithCapacity caps the number of registered entries; Put returns ErrFull
 // beyond it. Zero (the default) means unlimited.
@@ -74,20 +71,11 @@ func WithClock(c Clock) Option { return func(o *options) { o.now = c } }
 
 // New builds an empty registry.
 func New[T comparable](opts ...Option) *Registry[T] {
-	o := options{shards: 16, now: time.Now}
+	o := options{now: time.Now}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	n := 1
-	for n < o.shards {
-		n <<= 1
-	}
-	r := &Registry[T]{
-		shards: make([]shard[T], n),
-		mask:   uint32(n - 1),
-		cap:    o.cap,
-		now:    o.now,
-	}
+	r := &Registry[T]{cap: o.cap, now: o.now}
 	for i := range r.shards {
 		r.shards[i].m = make(map[string]*entry[T])
 	}
@@ -105,7 +93,7 @@ func fnv1a(s string) uint32 {
 }
 
 func (r *Registry[T]) shard(id string) *shard[T] {
-	return &r.shards[fnv1a(id)&r.mask]
+	return &r.shards[fnv1a(id)%numShards]
 }
 
 // Put registers v under id. It returns ErrDuplicate if the id is taken

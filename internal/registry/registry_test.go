@@ -61,7 +61,7 @@ func TestPutGetRemove(t *testing.T) {
 }
 
 func TestCapacityCap(t *testing.T) {
-	r := New[int](WithCapacity(2), WithShards(4))
+	r := New[int](WithCapacity(2))
 	if err := r.Put("a", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCompareAndRemove(t *testing.T) {
 // registry's safety proof, and the final count must balance.
 func TestConcurrentChurn(t *testing.T) {
 	clk := newFakeClock()
-	r := New[int](WithShards(8), WithCapacity(64), WithClock(clk.Now))
+	r := New[int](WithCapacity(64), WithClock(clk.Now))
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -206,7 +206,7 @@ func TestConcurrentChurn(t *testing.T) {
 }
 
 func TestRange(t *testing.T) {
-	r := New[int](WithShards(4))
+	r := New[int]()
 	want := map[string]int{"a": 1, "b": 2, "c": 3, "d": 4}
 	for id, v := range want {
 		if err := r.Put(id, v); err != nil {
