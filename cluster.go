@@ -195,12 +195,9 @@ func (c *Cluster) buildView(snap membership.Snapshot) (*clusterView, error) {
 	if len(snap.Members) == 0 {
 		return nil, fmt.Errorf("adasense: membership snapshot has no replicas")
 	}
-	ring, err := hashring.New()
-	if err != nil {
-		return nil, fmt.Errorf("adasense: %w", err)
-	}
+	ids := make([]string, len(snap.Members))
 	replicas := make(map[string]Replica, len(snap.Members))
-	for _, m := range snap.Members {
+	for i, m := range snap.Members {
 		rep := Replica{ID: m.ID, URL: m.URL}
 		if _, dup := replicas[rep.ID]; dup {
 			return nil, fmt.Errorf("adasense: duplicate replica id %q", rep.ID)
@@ -212,10 +209,12 @@ func (c *Cluster) buildView(snap membership.Snapshot) (*clusterView, error) {
 			}
 			rep.URL = strings.TrimSuffix(rep.URL, "/")
 		}
-		if err := ring.Add(rep.ID); err != nil {
-			return nil, fmt.Errorf("adasense: %w", err)
-		}
+		ids[i] = rep.ID
 		replicas[rep.ID] = rep
+	}
+	ring, err := hashring.New(ids)
+	if err != nil {
+		return nil, fmt.Errorf("adasense: %w", err)
 	}
 	return &clusterView{generation: snap.Generation, ring: ring, replicas: replicas}, nil
 }

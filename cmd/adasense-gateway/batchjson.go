@@ -56,7 +56,8 @@ func putBatchScratch(sc *batchScratch) {
 }
 
 // readBatch reads the size-capped request body and decodes it into a
-// batch backed by sc.
+// batch backed by sc. The samples are checked where the batch is pushed
+// or classified.
 func (sc *batchScratch) readBatch(w http.ResponseWriter, r *http.Request) (*adasense.Batch, error) {
 	sc.body.Reset()
 	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxJSONBytes)); err != nil {
@@ -65,9 +66,12 @@ func (sc *batchScratch) readBatch(w http.ResponseWriter, r *http.Request) (*adas
 	if err := sc.decode(sc.body.Bytes()); err != nil {
 		return nil, fmt.Errorf("decoding batch: %w", err)
 	}
-	if err := sc.bj.toBatch(&sc.batch); err != nil {
+	cfg, err := adasense.ParseConfig(sc.bj.Config)
+	if err != nil {
 		return nil, err
 	}
+	bj := &sc.bj
+	sc.batch = adasense.Batch{Config: cfg, StartAt: bj.StartAt, X: bj.X, Y: bj.Y, Z: bj.Z}
 	return &sc.batch, nil
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -69,6 +71,11 @@ func (d *streamDoor) push(b *adasense.Batch) ([]doorEvent, adasense.Config, erro
 	return evs, ack.Config, nil
 }
 
+type namedDoor struct {
+	name, device string
+	d            doorClient
+}
+
 // TestDoorsAgree is the cross-door differential test: the same seeded
 // device trajectory pushed through HTTP/JSON, ADSP over raw TCP and
 // ADSP over the HTTP upgrade — each a fresh device on one gateway running the
@@ -78,6 +85,9 @@ func (d *streamDoor) push(b *adasense.Batch) ([]doorEvent, adasense.Config, erro
 // would also fork every batch after it. At the end the three sessions
 // must hold bit-identical energy ledgers, and the gateway's counters
 // must account for every push and every event the doors returned.
+// Halfway through, every door is offered batches the library refuses
+// (see refuseBadBatches); the counters then also show that no refused
+// batch was counted.
 func TestDoorsAgree(t *testing.T) {
 	const pushes = 90
 	ts, gw, tcp := newDoorServer(t, adasense.WithServiceOptions(
@@ -91,10 +101,7 @@ func TestDoorsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doors := []struct {
-		name, device string
-		d            doorClient
-	}{
+	doors := []namedDoor{
 		{"http", "diff-http", &httpDoor{t: t, base: ts.URL, device: "diff-http", cfg: httpCfg}},
 		{"adsp-tcp", "diff-tcp", &streamDoor{dialDoor(t, tcp, "diff-tcp")}},
 		{"adsp-upgrade", "diff-upgrade", &streamDoor{dialDoor(t, ts.URL, "diff-upgrade")}},
@@ -125,6 +132,9 @@ func TestDoorsAgree(t *testing.T) {
 	}
 	switches, events := 0, 0
 	for p := 0; p < pushes; p++ {
+		if p == pushes/2 {
+			refuseBadBatches(t, gw, doors)
+		}
 		var wantEvs []doorEvent
 		var wantCfg adasense.Config
 		for i, d := range doors {
@@ -180,5 +190,68 @@ func TestDoorsAgree(t *testing.T) {
 	}
 	if s.EventsEmitted != uint64(events) {
 		t.Fatalf("events emitted = %d, the doors returned %d", s.EventsEmitted, events)
+	}
+}
+
+// refuseBadBatches is TestDoorsAgree's rejection row. Each door is
+// offered batches the library's batch check refuses: a reading of
+// 1e300 through every door, a ragged batch through HTTP/JSON (the ADSP
+// client cannot encode one), and NaN and -Inf readings through ADSP
+// (JSON cannot spell them). Every door must refuse each batch — HTTP
+// with 400, ADSP with a bad-batch error frame on a connection that
+// keeps serving — and leave the session's ADSS snapshot bytes as they
+// were.
+func refuseBadBatches(t *testing.T, gw *adasense.Gateway, doors []namedDoor) {
+	t.Helper()
+	snapshot := func(device string) []byte {
+		gs, ok := gw.Lookup(device)
+		if !ok {
+			t.Fatalf("session %q is gone", device)
+		}
+		st, err := gs.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := st.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sampler := adasense.NewSampler(adasense.DefaultNoiseModel(), 73)
+	sched, err := adasense.NewSchedule([]adasense.Segment{{Activity: adasense.Walk, Duration: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoiled := func(cfg adasense.Config, spoil func(b *adasense.Batch)) *adasense.Batch {
+		b := sampler.Sample(adasense.NewMotion(sched, 74), cfg, 0, 1)
+		spoil(b)
+		return b
+	}
+	huge := func(b *adasense.Batch) { b.X[3] = 1e300 }
+	for _, d := range doors {
+		spoils := map[string]func(*adasense.Batch){"a 1e300 reading": huge}
+		var refused func(error) bool
+		switch d.d.(type) {
+		case *httpDoor:
+			spoils["a short y axis"] = func(b *adasense.Batch) { b.Y = b.Y[:len(b.Y)-1] }
+			refused = func(err error) bool { return err != nil && err.Error() == "http push = 400" }
+		default:
+			spoils["a NaN reading"] = func(b *adasense.Batch) { b.Y[0] = math.NaN() }
+			spoils["a -Inf reading"] = func(b *adasense.Batch) { b.Z[len(b.Z)-1] = math.Inf(-1) }
+			refused = func(err error) bool {
+				var se *stream.ServerError
+				return errors.As(err, &se) && se.Code == stream.CodeBadBatch
+			}
+		}
+		before := snapshot(d.device)
+		for what, spoil := range spoils {
+			if _, _, err := d.d.push(spoiled(d.d.config(), spoil)); !refused(err) {
+				t.Errorf("%s accepted a batch with %s: err = %v", d.name, what, err)
+			}
+		}
+		if after := snapshot(d.device); !bytes.Equal(after, before) {
+			t.Errorf("%s: refused batches changed the session snapshot", d.name)
+		}
 	}
 }

@@ -70,20 +70,6 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// toBatch validates b into dst, which shares b's sample slices.
-func (b *batchJSON) toBatch(dst *adasense.Batch) error {
-	cfg, err := adasense.ParseConfig(b.Config)
-	if err != nil {
-		return err
-	}
-	if len(b.X) == 0 || len(b.X) != len(b.Y) || len(b.X) != len(b.Z) {
-		return fmt.Errorf("batch needs equal-length non-empty x/y/z (got %d/%d/%d)",
-			len(b.X), len(b.Y), len(b.Z))
-	}
-	*dst = adasense.Batch{Config: cfg, StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}
-	return nil
-}
-
 // server is the HTTP front end over one Gateway, optionally federated
 // into a Cluster (nil when standalone).
 type server struct {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -520,23 +521,45 @@ func TestServerDrain(t *testing.T) {
 	}
 }
 
-// TestServerUnencodableReply: samples of ±1e300 are finite, so they pass
-// the door, but they classify with a NaN confidence, which JSON cannot
-// carry. Push and classify must answer 500 with a JSON error body, not
-// 200 with an empty one.
+// TestServerUnencodableReply: a classification with a NaN confidence
+// cannot be carried by JSON. Samples cannot produce one — the batch
+// check refuses ±1e300, whose squares would overflow the features, with
+// 400 — but a model with a NaN bias does. Push and classify must then
+// answer 500 with a JSON error body, not 200 with an empty one.
 func TestServerUnencodableReply(t *testing.T) {
-	ts, _ := newTestServer(t)
-	if code := do(t, "POST", ts.URL+"/v1/sessions", map[string]string{"id": "huge"}, nil); code != http.StatusCreated {
-		t.Fatalf("open = %d", code)
+	huge := wireBatch(t, 2)
+	for i := range huge.X {
+		huge.X[i], huge.Y[i] = 1e300, -1e300
 	}
-	batch := wireBatch(t, 2)
-	for i := range batch.X {
-		batch.X[i], batch.Y[i] = 1e300, -1e300
-	}
-	for _, path := range []string{"/v1/sessions/huge/push", "/v1/classify"} {
-		var e errorJSON
-		if code := do(t, "POST", ts.URL+path, batch, &e); code != http.StatusInternalServerError || !strings.Contains(e.Error, "NaN") {
-			t.Errorf("POST %s with ±1e300 samples = %d %+v, want 500 with an error naming NaN", path, code, e)
+	poisoned := *quickSystem(t)
+	poisoned.Network = poisoned.Network.Clone()
+	poisoned.Network.B2[0] = math.NaN()
+	for _, tc := range []struct {
+		name  string
+		sys   *adasense.System
+		batch batchJSON
+		code  int
+		msg   string
+	}{
+		{"±1e300 samples", quickSystem(t), huge, http.StatusBadRequest, "invalid batch"},
+		{"a NaN-biased model", &poisoned, wireBatch(t, 2), http.StatusInternalServerError, "NaN"},
+	} {
+		gw, err := adasense.NewGateway(tc.sys, adasense.WithServiceOptions(adasense.WithControllerFactory(func() adasense.Controller {
+			return adasense.NewBaselineController()
+		})))
+		if err != nil {
+			t.Fatal(err)
 		}
+		ts := httptest.NewServer(newServer(gw, nil))
+		if code := do(t, "POST", ts.URL+"/v1/sessions", map[string]string{"id": "huge"}, nil); code != http.StatusCreated {
+			t.Fatalf("open = %d", code)
+		}
+		for _, path := range []string{"/v1/sessions/huge/push", "/v1/classify"} {
+			var e errorJSON
+			if code := do(t, "POST", ts.URL+path, tc.batch, &e); code != tc.code || !strings.Contains(e.Error, tc.msg) {
+				t.Errorf("%s: POST %s = %d %+v, want %d with an error naming %q", tc.name, path, code, e, tc.code, tc.msg)
+			}
+		}
+		ts.Close()
 	}
 }

@@ -336,8 +336,9 @@ func (ss *streamServer) answerPushError(c *streamConn, sess *adasense.GatewaySes
 		ss.writeGoodbye(c, stream.CodeDraining, err.Error())
 		return false
 	default:
-		// Config mismatch and the like: refuse the batch, direct the
-		// config the device must resample at (self-healing).
+		// Config mismatch, invalid samples and the like: refuse the
+		// batch, direct the config the device must resample at
+		// (self-healing).
 		writeFrame(ss, c, stream.FrameError, stream.AppendError, stream.ErrorMsg{Seq: seq, Code: stream.CodeBadBatch, Config: sess.Config(), Msg: err.Error()})
 		return true
 	}

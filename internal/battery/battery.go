@@ -63,11 +63,6 @@ func (p Pack) LifetimeHours(avgLoadUA float64) float64 {
 	return p.CapacityUAh / total
 }
 
-// LifetimeDays is LifetimeHours / 24.
-func (p Pack) LifetimeDays(avgLoadUA float64) float64 {
-	return p.LifetimeHours(avgLoadUA) / 24
-}
-
 // Improvement returns the lifetime ratio of running at optimized vs
 // baseline average current — the end-user meaning of the paper's power
 // savings. Self-discharge damps the ratio: halving the load does not quite

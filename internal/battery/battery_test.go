@@ -11,9 +11,6 @@ func TestLifetimeBasic(t *testing.T) {
 	if got := p.LifetimeHours(100); math.Abs(got-10) > 1e-12 {
 		t.Fatalf("1000 µAh at 100 µA = %v h, want 10", got)
 	}
-	if got := p.LifetimeDays(100); math.Abs(got-10.0/24) > 1e-12 {
-		t.Fatalf("LifetimeDays = %v", got)
-	}
 }
 
 func TestSelfDischargeLimitsIdleLifetime(t *testing.T) {

@@ -81,15 +81,19 @@ func (e *Engine) Config() sensor.Config { return e.window.Config() }
 
 // Push feeds a batch of raw readings sampled under the engine's current
 // configuration and returns the classification events it completed (zero
-// or more, one per elapsed hop). It returns an error if the batch was
-// sampled under a different configuration — the caller failed to apply a
-// requested switch.
+// or more, one per elapsed hop). It refuses, before any state changes, a
+// batch that fails sensor.Batch.Validate (a *sensor.BatchError) or one
+// sampled under a different configuration — the caller failed to apply
+// a requested switch.
 //
 // If an event switches the configuration, any samples of the same batch
 // beyond that tick are discarded: they were acquired under the old
 // configuration, which a physical sensor cannot retroactively change.
 // Pushing in chunks of at most one hop avoids any loss.
 func (e *Engine) Push(b *sensor.Batch) ([]Event, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
 	if b.Config != e.window.Config() {
 		return nil, fmt.Errorf("core: pushed %s batch while engine expects %s",
 			b.Config.Name(), e.window.Config().Name())

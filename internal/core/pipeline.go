@@ -155,10 +155,3 @@ func (p *Pipeline) Classify(b *sensor.Batch) Classification {
 	}
 	return Classification{Activity: synth.Activity(best), Confidence: p.probs[best]}
 }
-
-// ClassifyFeatures classifies a pre-extracted feature vector. It
-// implements eval.Classifier.
-func (p *Pipeline) ClassifyFeatures(feat []float64) (synth.Activity, float64) {
-	cls, conf := p.net.Predict(feat)
-	return synth.Activity(cls), conf
-}

@@ -137,6 +137,9 @@ func TestPipelineClassifiesObviousActivities(t *testing.T) {
 	}
 }
 
+// TestPipelineClassifyMatchesClassifyFeatures checks that Classify is
+// exactly feature extraction followed by the network's prediction on
+// those features.
 func TestPipelineClassifyMatchesClassifyFeatures(t *testing.T) {
 	p := trainedPipeline(t)
 	r := rng.New(11)
@@ -147,9 +150,9 @@ func TestPipelineClassifyMatchesClassifyFeatures(t *testing.T) {
 
 	c1 := p.Classify(b)
 	feat := p.Extractor().Extract(b, nil)
-	act, conf := p.ClassifyFeatures(feat)
-	if act != c1.Activity || conf != c1.Confidence {
-		t.Fatalf("Classify (%v,%v) != ClassifyFeatures (%v,%v)", c1.Activity, c1.Confidence, act, conf)
+	act, conf := p.Network().Predict(feat)
+	if synth.Activity(act) != c1.Activity || conf != c1.Confidence {
+		t.Fatalf("Classify (%v,%v) != Predict on its features (%v,%v)", c1.Activity, c1.Confidence, synth.Activity(act), conf)
 	}
 }
 

@@ -82,17 +82,12 @@ func (m DescendMode) String() string {
 	}
 }
 
-// NewSPOT builds a plain SPOT controller over the given power-descending
-// states. stabilityTicks must be >= 0; zero makes every matching
-// observation a step down (the paper's "stability threshold = 0" sweep
-// point).
-func NewSPOT(states []sensor.Config, stabilityTicks int) (*SPOT, error) {
-	return NewSPOTWithConfidence(states, stabilityTicks, 0)
-}
-
-// NewSPOTWithConfidence builds a SPOT controller that ignores activity
-// changes reported with confidence below confThreshold (0 disables the
-// gate; the paper evaluates 0.85).
+// NewSPOTWithConfidence builds a SPOT controller over the given
+// power-descending states that ignores activity changes reported with
+// confidence below confThreshold (0 disables the gate, giving plain
+// SPOT; the paper evaluates 0.85). stabilityTicks must be >= 0; zero
+// makes every matching observation a step down (the paper's "stability
+// threshold = 0" sweep point).
 func NewSPOTWithConfidence(states []sensor.Config, stabilityTicks int, confThreshold float64) (*SPOT, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("core: SPOT needs at least one state")
@@ -151,9 +146,6 @@ func (s *SPOT) Counter() int { return s.counter }
 // LastCondition returns the FSM condition that fired on the most recent
 // Observe (Warmup before any observation).
 func (s *SPOT) LastCondition() Condition { return s.lastCondition }
-
-// ConfidenceThreshold returns the confidence gate (0 = plain SPOT).
-func (s *SPOT) ConfidenceThreshold() float64 { return s.confThreshold }
 
 // Mode returns the descend mode.
 func (s *SPOT) Mode() DescendMode { return s.mode }

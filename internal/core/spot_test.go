@@ -11,13 +11,13 @@ import (
 )
 
 func TestNewSPOTValidation(t *testing.T) {
-	if _, err := NewSPOT(nil, 3); err == nil {
+	if _, err := NewSPOTWithConfidence(nil, 3, 0); err == nil {
 		t.Fatal("empty state list accepted")
 	}
-	if _, err := NewSPOT([]sensor.Config{{FreqHz: -1, AvgWindow: 8}}, 3); err == nil {
+	if _, err := NewSPOTWithConfidence([]sensor.Config{{FreqHz: -1, AvgWindow: 8}}, 3, 0); err == nil {
 		t.Fatal("invalid state accepted")
 	}
-	if _, err := NewSPOT(sensor.ParetoStates(), -1); err == nil {
+	if _, err := NewSPOTWithConfidence(sensor.ParetoStates(), -1, 0); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
 	if _, err := NewSPOTWithConfidence(sensor.ParetoStates(), 3, 1.5); err == nil {

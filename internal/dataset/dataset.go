@@ -55,15 +55,6 @@ func (c *Corpus) FilterConfig(cfg sensor.Config) *Corpus {
 	return out
 }
 
-// ClassCounts returns the number of examples per activity class.
-func (c *Corpus) ClassCounts() [synth.NumActivities]int {
-	var counts [synth.NumActivities]int
-	for _, ex := range c.Examples {
-		counts[ex.Label]++
-	}
-	return counts
-}
-
 // Split partitions the corpus into train and test parts with the given
 // test fraction, shuffling with r. Examples are shared with the receiver.
 func (c *Corpus) Split(testFrac float64, r *rng.Source) (train, test *Corpus) {

@@ -46,22 +46,6 @@ func TestStdDevShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestRMS(t *testing.T) {
-	if got := RMS([]float64{3, -3, 3, -3}); !almostEqual(got, 3, 1e-12) {
-		t.Fatalf("RMS = %v, want 3", got)
-	}
-	if got := RMS(nil); got != 0 {
-		t.Fatalf("RMS(nil) = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = (%v,%v), want (-1,7)", lo, hi)
-	}
-}
-
 func TestMeanAbsDiff(t *testing.T) {
 	if got := MeanAbsDiff([]float64{0, 1, 3, 0}); !almostEqual(got, (1+2+3)/3.0, 1e-12) {
 		t.Fatalf("MeanAbsDiff = %v", got)
@@ -120,6 +104,24 @@ func TestGoertzelRateInvariance(t *testing.T) {
 	}
 }
 
+// naiveDFT computes the full DFT of the real signal x by direct summation.
+// It is O(N²) and is the correctness oracle for Goertzel.
+func naiveDFT(x []float64) (re, im []float64) {
+	n := len(x)
+	re = make([]float64, n)
+	im = make([]float64, n)
+	for k := 0; k < n; k++ {
+		var sr, si float64
+		for t := 0; t < n; t++ {
+			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			sr += x[t] * math.Cos(ang)
+			si += x[t] * math.Sin(ang)
+		}
+		re[k], im[k] = sr, si
+	}
+	return re, im
+}
+
 func TestGoertzelMatchesNaiveDFT(t *testing.T) {
 	r := rng.New(2)
 	n := 64
@@ -127,7 +129,7 @@ func TestGoertzelMatchesNaiveDFT(t *testing.T) {
 	for i := range x {
 		x[i] = r.Norm()
 	}
-	re, im := NaiveDFT(x)
+	re, im := naiveDFT(x)
 	for k := 1; k < 8; k++ {
 		want := math.Hypot(re[k], im[k]) / float64(n)
 		// Bin k of an n-point DFT at fs corresponds to freq k*fs/n.
@@ -162,102 +164,6 @@ func TestGoertzelBinsReuse(t *testing.T) {
 	}
 }
 
-// --- FFT ---
-
-func TestFFTMatchesNaiveDFT(t *testing.T) {
-	r := rng.New(3)
-	for _, n := range []int{1, 2, 4, 8, 64, 256} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.Norm()
-		}
-		wantRe, wantIm := NaiveDFT(x)
-		re := make([]float64, n)
-		im := make([]float64, n)
-		copy(re, x)
-		FFT(re, im)
-		for k := 0; k < n; k++ {
-			if !almostEqual(re[k], wantRe[k], 1e-7) || !almostEqual(im[k], wantIm[k], 1e-7) {
-				t.Fatalf("n=%d bin %d: FFT=(%v,%v) naive=(%v,%v)", n, k, re[k], im[k], wantRe[k], wantIm[k])
-			}
-		}
-	}
-}
-
-func TestFFTRoundTrip(t *testing.T) {
-	r := rng.New(4)
-	f := func(seed uint16) bool {
-		rr := rng.New(uint64(seed))
-		n := 128
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rr.Norm()
-		}
-		re := make([]float64, n)
-		im := make([]float64, n)
-		copy(re, x)
-		FFT(re, im)
-		IFFT(re, im)
-		for i := range x {
-			if !almostEqual(re[i], x[i], 1e-9) || !almostEqual(im[i], 0, 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	_ = r
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFFTParseval(t *testing.T) {
-	r := rng.New(5)
-	n := 256
-	x := make([]float64, n)
-	var timeEnergy float64
-	for i := range x {
-		x[i] = r.Norm()
-		timeEnergy += x[i] * x[i]
-	}
-	re := make([]float64, n)
-	im := make([]float64, n)
-	copy(re, x)
-	FFT(re, im)
-	var freqEnergy float64
-	for k := range re {
-		freqEnergy += re[k]*re[k] + im[k]*im[k]
-	}
-	freqEnergy /= float64(n)
-	if !almostEqual(timeEnergy, freqEnergy, 1e-6*timeEnergy) {
-		t.Fatalf("Parseval violated: time=%v freq=%v", timeEnergy, freqEnergy)
-	}
-}
-
-func TestFFTPanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FFT of length 3 did not panic")
-		}
-	}()
-	FFT(make([]float64, 3), make([]float64, 3))
-}
-
-func TestFFTMagnitudesTone(t *testing.T) {
-	n := 128
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * 8 * float64(i) / float64(n))
-	}
-	mags := FFTMagnitudes(x)
-	if len(mags) != n/2+1 {
-		t.Fatalf("len(mags) = %d", len(mags))
-	}
-	if !almostEqual(mags[8], 0.5, 1e-9) {
-		t.Fatalf("tone bin magnitude = %v, want 0.5", mags[8])
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 100: 128, 128: 128}
 	for in, want := range cases {
@@ -267,41 +173,9 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-// --- windows / detrend ---
+// --- DWT padding / detrend ---
 
-func TestHannEndpoints(t *testing.T) {
-	w := Hann(64)
-	if !almostEqual(w[0], 0, 1e-12) || !almostEqual(w[63], 0, 1e-12) {
-		t.Fatalf("Hann endpoints = %v, %v", w[0], w[63])
-	}
-	if w[32] < 0.9 {
-		t.Fatalf("Hann midpoint = %v", w[32])
-	}
-	if got := Hann(1); got[0] != 1 {
-		t.Fatalf("Hann(1) = %v", got)
-	}
-}
-
-func TestHammingBounds(t *testing.T) {
-	for _, v := range Hamming(33) {
-		if v < 0.07 || v > 1 {
-			t.Fatalf("Hamming out of bounds: %v", v)
-		}
-	}
-	if got := Hamming(1); got[0] != 1 {
-		t.Fatalf("Hamming(1) = %v", got)
-	}
-}
-
-func TestApplyWindowAndDetrend(t *testing.T) {
-	x := []float64{2, 4, 6}
-	ApplyWindow(x, []float64{1, 0.5, 0})
-	want := []float64{2, 2, 0}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("ApplyWindow: %v", x)
-		}
-	}
+func TestDetrend(t *testing.T) {
 	y := []float64{5, 7, 9}
 	m := Detrend(y)
 	if m != 7 {
@@ -309,96 +183,6 @@ func TestApplyWindowAndDetrend(t *testing.T) {
 	}
 	if !almostEqual(Mean(y), 0, 1e-12) {
 		t.Fatalf("detrended mean = %v", Mean(y))
-	}
-}
-
-// --- resampling ---
-
-func TestLinearInterpExactAtSamples(t *testing.T) {
-	x := []float64{0, 10, 20, 30}
-	for i, want := range x {
-		if got := LinearInterp(x, 10, float64(i)/10); got != want {
-			t.Fatalf("interp at sample %d = %v", i, got)
-		}
-	}
-	if got := LinearInterp(x, 10, 0.05); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("midpoint interp = %v", got)
-	}
-	// Clamping.
-	if got := LinearInterp(x, 10, -1); got != 0 {
-		t.Fatalf("pre-clamp = %v", got)
-	}
-	if got := LinearInterp(x, 10, 99); got != 30 {
-		t.Fatalf("post-clamp = %v", got)
-	}
-}
-
-func TestResampleIdentity(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := Resample(x, 10, 10, 5)
-	for i := range x {
-		if !almostEqual(x[i], y[i], 1e-12) {
-			t.Fatalf("identity resample differs at %d", i)
-		}
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("Decimate len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Decimate = %v", got)
-		}
-	}
-}
-
-func TestMovingAverageConstant(t *testing.T) {
-	x := []float64{5, 5, 5, 5, 5}
-	for _, v := range MovingAverage(x, 3) {
-		if !almostEqual(v, 5, 1e-12) {
-			t.Fatal("moving average of constant signal is not constant")
-		}
-	}
-}
-
-func TestMovingAverageKnown(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	got := MovingAverage(x, 2)
-	want := []float64{1, 1.5, 2.5, 3.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MovingAverage = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMovingAverageReducesNoiseBySqrtW(t *testing.T) {
-	// Averaging w iid samples divides the std by ~sqrt(w) — this is the
-	// physical basis of the averaging-window/noise trade-off in the paper.
-	r := rng.New(6)
-	n := 100000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.Norm()
-	}
-	for _, w := range []int{4, 16, 64} {
-		avg := MovingAverage(x, w)
-		// Skip the warm-up prefix and decorrelate by sampling every w-th
-		// element.
-		var samples []float64
-		for i := w; i < n; i += w {
-			samples = append(samples, avg[i])
-		}
-		got := StdDev(samples)
-		want := 1 / math.Sqrt(float64(w))
-		if math.Abs(got-want) > 0.25*want {
-			t.Fatalf("w=%d: averaged std=%v, want ~%v", w, got, want)
-		}
 	}
 }
 
@@ -410,17 +194,5 @@ func BenchmarkGoertzel200(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Goertzel(x, 2, 100)
-	}
-}
-
-func BenchmarkFFT256(b *testing.B) {
-	re := make([]float64, 256)
-	im := make([]float64, 256)
-	for i := range re {
-		re[i] = math.Sin(float64(i) / 5)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT(re, im)
 	}
 }

@@ -27,31 +27,21 @@ func HaarStep(x, approx, detail []float64) {
 	}
 }
 
-// HaarDWT decomposes x into `levels` detail bands plus a final
-// approximation, zero-padding x to the next power of two first. It returns
-// the detail coefficient slices from finest (level 1, highest frequencies)
-// to coarsest, followed by the final approximation. levels is clamped to
-// log2(paddedLen).
-//
-// Every returned band is carved from one shared backing array. Callers on
-// a hot path should hold a DWT workspace and call Transform instead,
-// which reuses that array across calls.
-func HaarDWT(x []float64, levels int) [][]float64 {
-	var w DWT
-	return w.Transform(x, levels)
-}
-
 // DWT is a reusable Haar analysis workspace: all coefficients of a
 // decomposition live in one backing array sized to the padded input, and
 // Transform reuses it across calls, so steady-state use allocates
-// nothing. The bands returned by Transform alias the workspace and are
-// valid only until the next call. A DWT is not safe for concurrent use.
+// nothing. A DWT is not safe for concurrent use.
 type DWT struct {
 	coeffs []float64 // work area (front half) ∥ band storage (back half)
 	bands  [][]float64
 }
 
-// Transform decomposes x exactly like HaarDWT, reusing the workspace.
+// Transform decomposes x into `levels` detail bands plus a final
+// approximation, zero-padding x to the next power of two first. It
+// returns the detail coefficient slices from finest (level 1, highest
+// frequencies) to coarsest, followed by the final approximation. levels
+// is clamped to [1, log2(paddedLen)]. The bands alias the workspace and
+// are valid only until the next call.
 func (w *DWT) Transform(x []float64, levels int) [][]float64 {
 	n := NextPow2(len(x))
 	maxLevels := 0
@@ -97,24 +87,11 @@ func (w *DWT) Transform(x []float64, levels int) [][]float64 {
 	return out
 }
 
-// WaveletEnergies returns the per-band mean energy (sum of squared
-// coefficients divided by the original length) of the Haar decomposition:
-// one value per detail level (finest first) plus the final approximation.
-// The division by len(x) keeps the scale comparable across batch sizes.
-func WaveletEnergies(x []float64, levels int) []float64 {
-	if len(x) == 0 {
-		out := make([]float64, levels+1)
-		return out
+// NextPow2 returns the smallest power of two >= n (and at least 1).
+func NextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
 	}
-	bands := HaarDWT(x, levels)
-	out := make([]float64, len(bands))
-	inv := 1 / float64(len(x))
-	for i, band := range bands {
-		sum := 0.0
-		for _, c := range band {
-			sum += c * c
-		}
-		out[i] = sum * inv
-	}
-	return out
+	return p
 }

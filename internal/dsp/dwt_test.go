@@ -43,7 +43,7 @@ func TestHaarDWTEnergyConservation(t *testing.T) {
 			x[i] = rr.Norm()
 			want += x[i] * x[i]
 		}
-		bands := HaarDWT(x, 7)
+		bands := new(DWT).Transform(x, 7)
 		var got float64
 		for _, band := range bands {
 			for _, c := range band {
@@ -59,7 +59,7 @@ func TestHaarDWTEnergyConservation(t *testing.T) {
 }
 
 func TestHaarDWTLevelClamping(t *testing.T) {
-	bands := HaarDWT(make([]float64, 8), 99)
+	bands := new(DWT).Transform(make([]float64, 8), 99)
 	// 8 samples allow 3 levels: 3 details + final approx = 4 bands.
 	if len(bands) != 4 {
 		t.Fatalf("bands = %d, want 4", len(bands))
@@ -69,44 +69,9 @@ func TestHaarDWTLevelClamping(t *testing.T) {
 	}
 }
 
-func TestWaveletEnergiesLocalizeFrequency(t *testing.T) {
-	const fs = 64.0
-	n := 256
-	mk := func(f float64) []float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = math.Sin(2 * math.Pi * f * float64(i) / fs)
-		}
-		return x
-	}
-	// A tone near Nyquist concentrates in the finest detail band; a slow
-	// tone concentrates in the coarse bands.
-	fast := WaveletEnergies(mk(28), 5)
-	slow := WaveletEnergies(mk(1), 5)
-	if fast[0] < fast[3] {
-		t.Fatalf("fast tone not in finest band: %v", fast)
-	}
-	coarse := slow[4] + slow[5]
-	if coarse < slow[0] {
-		t.Fatalf("slow tone not in coarse bands: %v", slow)
-	}
-}
-
-func TestWaveletEnergiesEmpty(t *testing.T) {
-	out := WaveletEnergies(nil, 3)
-	if len(out) != 4 {
-		t.Fatalf("len = %d", len(out))
-	}
-	for _, v := range out {
-		if v != 0 {
-			t.Fatal("empty signal has nonzero energy")
-		}
-	}
-}
-
 func TestDWTWorkspaceMatchesHaarDWT(t *testing.T) {
 	// One workspace reused across mixed lengths and depths must agree
-	// with the allocating entry point call for call.
+	// with a fresh workspace call for call.
 	var w DWT
 	r := rng.New(11)
 	for _, n := range []int{256, 8, 200, 64, 31, 2} {
@@ -115,7 +80,7 @@ func TestDWTWorkspaceMatchesHaarDWT(t *testing.T) {
 			for i := range x {
 				x[i] = r.Norm()
 			}
-			want := HaarDWT(x, levels)
+			want := new(DWT).Transform(x, levels)
 			got := w.Transform(x, levels)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d levels=%d: %d bands, want %d", n, levels, len(got), len(want))
@@ -142,7 +107,7 @@ func BenchmarkHaarDWT256(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		HaarDWT(x, 5)
+		new(DWT).Transform(x, 5)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package dsp is the signal-processing substrate for the AdaSense
-// reproduction: descriptive statistics, single-bin Goertzel DFT, a radix-2
-// FFT, a naive DFT used as a test oracle, window functions and linear
-// resampling. Everything operates on float64 slices and is allocation-free
-// where the call patterns are hot (per-window feature extraction).
+// reproduction: the descriptive statistics and the single-bin Goertzel
+// DFT behind the paper's features, and the Haar DWT behind the
+// feature-family ablation. Everything operates on float64 slices and is
+// allocation-free where the call patterns are hot (per-window feature
+// extraction).
 package dsp
 
 import "math"
@@ -38,35 +39,6 @@ func Variance(x []float64) float64 {
 // StdDev returns the population standard deviation of x.
 func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// RMS returns the root-mean-square of x, or 0 for an empty slice.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(len(x)))
-}
-
-// MinMax returns the minimum and maximum of x. It panics on an empty slice.
-func MinMax(x []float64) (lo, hi float64) {
-	if len(x) == 0 {
-		panic("dsp: MinMax of empty slice")
-	}
-	lo, hi = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // MeanAbsDiff returns the mean absolute first difference of x,
 // mean(|x[i+1]-x[i]|). It is the signal-intensity measure used by the
 // intensity-based baseline (NK et al. [8] in the paper): static activities
@@ -94,4 +66,15 @@ func Magnitude3(x, y, z []float64) []float64 {
 		out[i] = math.Sqrt(x[i]*x[i] + y[i]*y[i] + z[i]*z[i])
 	}
 	return out
+}
+
+// Detrend subtracts the mean of x from every element, in place, and returns
+// the removed mean. Feature extraction detrends before spectral estimation
+// so the gravity component does not leak into the low-frequency bins.
+func Detrend(x []float64) float64 {
+	m := Mean(x)
+	for i := range x {
+		x[i] -= m
+	}
+	return m
 }

@@ -81,26 +81,6 @@ func (c *Confusion) F1(a synth.Activity) float64 {
 	return 2 * p * r / (p + r)
 }
 
-// MacroF1 returns the unweighted mean F1 over classes that occur.
-func (c *Confusion) MacroF1() float64 {
-	sum, n := 0.0, 0
-	for a := synth.Activity(0); int(a) < synth.NumActivities; a++ {
-		row := 0
-		for j := range c[a] {
-			row += c[a][j]
-		}
-		if row == 0 {
-			continue
-		}
-		sum += c.F1(a)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // String renders the matrix as an aligned table with class labels.
 func (c *Confusion) String() string {
 	var b strings.Builder
@@ -117,22 +97,4 @@ func (c *Confusion) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Classifier is anything that maps a feature vector to an activity class
-// with a confidence. *nn.Network satisfies it via a thin adapter in the
-// callers; the indirection keeps eval free of model dependencies.
-type Classifier interface {
-	Classify(features []float64) (synth.Activity, float64)
-}
-
-// Score runs the classifier over parallel feature/label slices and returns
-// the confusion matrix.
-func Score(c Classifier, X [][]float64, Y []synth.Activity) Confusion {
-	var m Confusion
-	for i, x := range X {
-		pred, _ := c.Classify(x)
-		m.Add(Y[i], pred)
-	}
-	return m
 }

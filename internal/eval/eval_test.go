@@ -27,7 +27,7 @@ func TestConfusionBasics(t *testing.T) {
 
 func TestEmptyConfusion(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.MacroF1() != 0 {
+	if c.Accuracy() != 0 {
 		t.Fatal("empty confusion should score 0")
 	}
 	if c.Precision(synth.Walk) != 0 || c.Recall(synth.Walk) != 0 || c.F1(synth.Walk) != 0 {
@@ -55,35 +55,11 @@ func TestPrecisionRecall(t *testing.T) {
 	}
 }
 
-func TestMacroF1SkipsAbsentClasses(t *testing.T) {
-	var c Confusion
-	c.Add(synth.Walk, synth.Walk)
-	c.Add(synth.Sit, synth.Sit)
-	if got := c.MacroF1(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("MacroF1 = %v, want 1 (absent classes skipped)", got)
-	}
-}
-
 func TestStringContainsLabels(t *testing.T) {
 	var c Confusion
 	c.Add(synth.Upstairs, synth.Downstairs)
 	s := c.String()
 	if !strings.Contains(s, "upstairs") || !strings.Contains(s, "downstairs") {
 		t.Fatalf("String missing labels:\n%s", s)
-	}
-}
-
-type constClassifier synth.Activity
-
-func (cc constClassifier) Classify([]float64) (synth.Activity, float64) {
-	return synth.Activity(cc), 1
-}
-
-func TestScore(t *testing.T) {
-	X := [][]float64{{1}, {2}, {3}}
-	Y := []synth.Activity{synth.Walk, synth.Walk, synth.Sit}
-	m := Score(constClassifier(synth.Walk), X, Y)
-	if m.Total() != 3 || m.Correct() != 2 {
-		t.Fatalf("Score total=%d correct=%d", m.Total(), m.Correct())
 	}
 }

@@ -72,22 +72,10 @@ func (e *Extractor) Size() int { return 3 * (2 + len(e.binFreqs)) }
 // BinFreqsHz returns a copy of the spectral bin frequencies.
 func (e *Extractor) BinFreqsHz() []float64 { return append([]float64(nil), e.binFreqs...) }
 
-// Names returns human-readable feature names in extraction order.
-func (e *Extractor) Names() []string {
-	axes := []string{"x", "y", "z"}
-	var out []string
-	for _, ax := range axes {
-		out = append(out, "mean_"+ax, "std_"+ax)
-		for _, f := range e.binFreqs {
-			out = append(out, fmt.Sprintf("fft%g_%s", f, ax))
-		}
-	}
-	return out
-}
-
 // Extract computes the feature vector of batch b into dst (reused when
-// large enough) and returns it. The layout matches Names(): features for
-// x, then y, then z.
+// large enough) and returns it. Each axis contributes mean, standard
+// deviation and then one magnitude per bin in BinFreqsHz order; x comes
+// first, then y, then z.
 func (e *Extractor) Extract(b *sensor.Batch, dst []float64) []float64 {
 	size := e.Size()
 	if cap(dst) < size {

@@ -86,8 +86,8 @@ func TestWaveletExtractorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Size() != 3*(2+4) || e.Levels() != 3 {
-		t.Fatalf("Size=%d Levels=%d", e.Size(), e.Levels())
+	if e.Size() != 3*(2+4) {
+		t.Fatalf("Size=%d, want 3 axes × (mean, std, 3 details + approximation)", e.Size())
 	}
 }
 

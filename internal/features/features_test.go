@@ -17,17 +17,32 @@ func sampleBatch(t *testing.T, act synth.Activity, cfg sensor.Config, seed uint6
 	return s.Sample(m, cfg, 5, 7)
 }
 
+// TestSizeAndNames pins the feature layout in extraction order: per axis
+// mean, std and then the 1/2/3 Hz bins (mean_x, std_x, fft1_x, …), for
+// x, then y, then z.
 func TestSizeAndNames(t *testing.T) {
 	e := MustExtractor(nil)
 	if e.Size() != 15 {
 		t.Fatalf("default size = %d, want 15", e.Size())
 	}
-	names := e.Names()
-	if len(names) != 15 {
-		t.Fatalf("len(names) = %d", len(names))
+	cfg := sensor.ParetoStates()[0]
+	b := &sensor.Batch{Config: cfg, X: make([]float64, 200), Y: make([]float64, 200), Z: make([]float64, 200)}
+	for i := range b.X {
+		b.X[i] = 2 + math.Sin(2*math.Pi*float64(i)/cfg.FreqHz) // 1 Hz tone
+		b.Y[i] = -3
 	}
-	if names[0] != "mean_x" || names[1] != "std_x" || names[2] != "fft1_x" || names[5] != "mean_y" {
-		t.Fatalf("names layout wrong: %v", names[:6])
+	f := e.Extract(b, nil)
+	if len(f) != 15 {
+		t.Fatalf("len(features) = %d", len(f))
+	}
+	want := map[int]float64{0: 2, 1: 1 / math.Sqrt2, 3: 0, 4: 0, 5: -3, 6: 0, 7: 0}
+	for i, v := range want {
+		if math.Abs(f[i]-v) > 1e-9 {
+			t.Fatalf("feature %d = %v, want %v (layout %v)", i, f[i], v, f[:8])
+		}
+	}
+	if f[2] < 0.1 {
+		t.Fatalf("fft1_x = %v, want the 1 Hz tone's magnitude", f[2])
 	}
 }
 

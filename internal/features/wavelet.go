@@ -38,9 +38,6 @@ func NewWaveletExtractor(levels int) (*WaveletExtractor, error) {
 // band energies).
 func (e *WaveletExtractor) Size() int { return 3 * (2 + e.levels + 1) }
 
-// Levels returns the decomposition depth.
-func (e *WaveletExtractor) Levels() int { return e.levels }
-
 // Extract computes the wavelet feature vector of batch b into dst (reused
 // when large enough).
 func (e *WaveletExtractor) Extract(b *sensor.Batch, dst []float64) []float64 {

@@ -1,12 +1,13 @@
-// Package fixedpoint provides Q15 fixed-point arithmetic and a quantized
-// inference path for the activity classifier.
+// Package fixedpoint quantizes the activity classifier to int16 (Q15)
+// weights and runs its inference in fixed point.
 //
 // The paper's target MCU (CC2640R2F, Cortex-M3) has no FPU, and its memory
 // argument counts classifier bytes; shipping int16 weights halves the
 // footprint again relative to float32. This package quantizes a trained
 // nn.Network to symmetric per-tensor Q15 and runs inference with int32
 // accumulators, so the repository can measure the accuracy cost of the
-// deployment-grade arithmetic (an ablation bench in EXPERIMENTS.md).
+// deployment-grade arithmetic (`adasense-experiments -run fixedpoint`).
+// Serving runs the float network; only that ablation quantizes.
 package fixedpoint
 
 import (
@@ -14,57 +15,6 @@ import (
 
 	"adasense/internal/nn"
 )
-
-// Q15 is a signed 1.15 fixed-point number: value = q / 32768, representable
-// range [-1, 1).
-type Q15 int16
-
-// One is the largest representable Q15 value (≈ 0.99997).
-const One Q15 = math.MaxInt16
-
-// FromFloat converts f to Q15, saturating at the representable range.
-func FromFloat(f float64) Q15 {
-	v := math.Round(f * 32768)
-	if v > math.MaxInt16 {
-		return math.MaxInt16
-	}
-	if v < math.MinInt16 {
-		return math.MinInt16
-	}
-	return Q15(v)
-}
-
-// Float converts q back to float64.
-func (q Q15) Float() float64 { return float64(q) / 32768 }
-
-// Add returns a+b with saturation.
-func Add(a, b Q15) Q15 {
-	s := int32(a) + int32(b)
-	return sat(s)
-}
-
-// Sub returns a-b with saturation.
-func Sub(a, b Q15) Q15 {
-	return sat(int32(a) - int32(b))
-}
-
-// Mul returns the Q15 product with rounding and saturation.
-func Mul(a, b Q15) Q15 {
-	p := int32(a) * int32(b)
-	// Round to nearest: add half an LSB before the shift.
-	p += 1 << 14
-	return sat(p >> 15)
-}
-
-func sat(v int32) Q15 {
-	if v > math.MaxInt16 {
-		return math.MaxInt16
-	}
-	if v < math.MinInt16 {
-		return math.MinInt16
-	}
-	return Q15(v)
-}
 
 // Tensor is a per-tensor symmetrically quantized weight matrix: real value
 // = int16 value × Scale.
@@ -140,73 +90,29 @@ func (q *Network) WeightBytes() int {
 		4*(len(q.B1)+len(q.B2)+len(q.MeanIn)+len(q.StdIn))
 }
 
-// Workspace holds the scratch buffers one quantized inference needs —
-// standardized inputs, per-layer quantized activations, probabilities —
-// so a steady-state caller (one workspace per engine or session) runs
-// the forward pass without allocating. A workspace is sized for one
-// network's dimensions and is not safe for concurrent use.
-type Workspace struct {
-	xs, hidden, probs []float64
-	xq, hq            []int16
-}
-
-// NewWorkspace allocates scratch sized for q.
-func NewWorkspace(q *Network) *Workspace {
-	return &Workspace{
-		xs:     make([]float64, q.In),
-		hidden: make([]float64, q.Hidden),
-		probs:  make([]float64, q.Out),
-		xq:     make([]int16, q.In),
-		hq:     make([]int16, q.Hidden),
-	}
-}
-
-// fits reports whether the workspace was sized for q's dimensions.
-func (ws *Workspace) fits(q *Network) bool {
-	return len(ws.xs) == q.In && len(ws.hidden) == q.Hidden && len(ws.probs) == q.Out
-}
-
 // Forward computes class probabilities with quantized weights: inputs are
 // standardized and quantized to Q12.4-style fixed scale per layer, MACs
 // accumulate in int32, and activations dequantize between layers. The
 // softmax runs in float (it is a handful of scalar ops on the MCU).
-func (q *Network) Forward(x []float64, probs []float64) []float64 {
-	if cap(probs) < q.Out {
-		probs = make([]float64, q.Out)
-	}
-	probs = probs[:q.Out]
-	q.forward(NewWorkspace(q), x, probs)
-	return probs
-}
-
-// ForwardWS is Forward running entirely in ws's scratch — the zero-
-// allocation form, pinned by scripts/bench-diff.sh. The returned slice
-// aliases ws and is valid until the next call.
-func (q *Network) ForwardWS(ws *Workspace, x []float64) []float64 {
-	if !ws.fits(q) {
-		panic("fixedpoint: workspace sized for a different network")
-	}
-	q.forward(ws, x, ws.probs)
-	return ws.probs
-}
-
-func (q *Network) forward(ws *Workspace, x, probs []float64) {
+func (q *Network) Forward(x []float64) []float64 {
 	if len(x) != q.In {
 		panic("fixedpoint: input size mismatch")
 	}
+	probs := make([]float64, q.Out)
 	// Standardize and quantize the input with its own symmetric scale.
-	xs := ws.xs
+	xs := make([]float64, q.In)
 	for i := range xs {
 		xs[i] = (x[i] - q.MeanIn[i]) / q.StdIn[i]
 	}
-	xScale := quantizeInto(ws.xq, xs)
+	xq := make([]int16, q.In)
+	xScale := quantizeInto(xq, xs)
 
-	hidden := ws.hidden
-	for h := 0; h < q.Hidden; h++ {
+	hidden := make([]float64, q.Hidden)
+	for h := range hidden {
 		var acc int64
 		row := q.W1.Data[h*q.In : (h+1)*q.In]
 		for i, w := range row {
-			acc += int64(w) * int64(ws.xq[i])
+			acc += int64(w) * int64(xq[i])
 		}
 		v := float64(acc)*q.W1.Scale*xScale + q.B1[h]
 		if v < 0 {
@@ -214,13 +120,14 @@ func (q *Network) forward(ws *Workspace, x, probs []float64) {
 		}
 		hidden[h] = v
 	}
-	hScale := quantizeInto(ws.hq, hidden)
+	hq := make([]int16, q.Hidden)
+	hScale := quantizeInto(hq, hidden)
 	maxLogit := math.Inf(-1)
-	for o := 0; o < q.Out; o++ {
+	for o := range probs {
 		var acc int64
 		row := q.W2.Data[o*q.Hidden : (o+1)*q.Hidden]
 		for h, w := range row {
-			acc += int64(w) * int64(ws.hq[h])
+			acc += int64(w) * int64(hq[h])
 		}
 		v := float64(acc)*q.W2.Scale*hScale + q.B2[o]
 		probs[o] = v
@@ -236,16 +143,12 @@ func (q *Network) forward(ws *Workspace, x, probs []float64) {
 	for o := range probs {
 		probs[o] /= z
 	}
+	return probs
 }
 
 // Predict returns the most probable class and its confidence.
 func (q *Network) Predict(x []float64) (int, float64) {
-	return argmax(q.Forward(x, nil))
-}
-
-// PredictWS is Predict running in ws's scratch, allocation-free.
-func (q *Network) PredictWS(ws *Workspace, x []float64) (int, float64) {
-	return argmax(q.ForwardWS(ws, x))
+	return argmax(q.Forward(x))
 }
 
 func argmax(probs []float64) (int, float64) {

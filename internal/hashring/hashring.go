@@ -1,50 +1,37 @@
 // Package hashring implements the consistent-hash ring that shards a
 // device fleet across gateway replicas.
 //
-// Each replica id is projected onto the ring at a configurable number of
-// virtual-node points; a device id is owned by the replica whose first
-// point lies clockwise of the device's own hash. Placement is a pure
-// function of the member set and the ring parameters — independent of
-// insertion order and identical across processes — so every replica in a
-// fleet computes the same owner for every device with no coordination
-// traffic. Adding or removing one replica moves only the arcs adjacent
-// to its points (roughly a 1/n fraction of the keyspace); every other
-// device keeps its owner.
+// Each replica id is projected onto the ring at 128 points; a
+// device id is owned by the replica whose first point lies clockwise of
+// the device's own hash. Placement is a pure function of the member set
+// — independent of the order the ids are given in and identical across
+// processes — so every replica in a fleet computes the same owner for
+// every device with no coordination traffic. Adding or removing one
+// replica moves only the arcs adjacent to its points (roughly a 1/n
+// fraction of the keyspace); every other device keeps its owner.
 //
-// Lookup is allocation-free (an inlined 64-bit FNV-1a hash plus a binary
-// search over the sorted point slice), cheap enough for the per-request
-// routing path. The hash is injectable for tests that need to force
-// placements.
+// A Ring is immutable: a membership change builds a new one. Lookup is
+// allocation-free (an inlined 64-bit FNV-1a hash plus a binary search
+// over the sorted point slice), cheap enough for the per-request routing
+// path.
 package hashring
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
-// Hash maps a key to a point on the ring. Implementations must be pure:
-// replicas rely on every process hashing identically.
-type Hash func(string) uint64
+// virtualNodes is the number of ring points per replica. More points
+// smooth the per-replica load split at the cost of a larger (still tiny)
+// sorted slice. Every replica of a fleet must use the same count.
+const virtualNodes = 128
 
-// DefaultVirtualNodes is the per-replica virtual-node count used when
-// WithVirtualNodes is not given. More points smooth the per-replica
-// load split at the cost of a larger (still tiny) sorted slice.
-const DefaultVirtualNodes = 128
-
-// Ring is a consistent-hash ring over replica ids. The zero value is not
-// usable; construct with New. All methods are safe for concurrent use:
-// mutations publish a fresh sorted point slice through an atomic
-// pointer (copy-on-write), so the per-request Lookup path takes no lock
-// at all — membership changes are rare, lookups are every request.
+// Ring is an immutable consistent-hash ring over replica ids, safe for
+// concurrent use. Construct with New.
 type Ring struct {
-	mu      sync.Mutex // guards members and point-slice rebuilds
-	hash    Hash
-	vnodes  int
-	members map[string]struct{}
-	points  atomic.Pointer[[]point] // sorted by (hash, owner): deterministic under collisions
+	hash   func(string) uint64
+	points []point // sorted by (hash, owner): deterministic under collisions
 }
 
 type point struct {
@@ -52,99 +39,41 @@ type point struct {
 	owner string
 }
 
-// Option configures a Ring.
-type Option func(*Ring) error
-
-// WithHash injects the ring's hash function (default: 64-bit FNV-1a).
-// Every replica of a fleet must use the same hash.
-func WithHash(h Hash) Option {
-	return func(r *Ring) error {
-		if h == nil {
-			return fmt.Errorf("hashring: nil hash")
-		}
-		r.hash = h
-		return nil
-	}
+// New builds the ring over the given replica ids, which must be
+// non-empty and distinct. A ring over no ids owns nothing.
+func New(ids []string) (*Ring, error) {
+	return build(ids, fnv64a, virtualNodes)
 }
 
-// WithVirtualNodes sets the number of ring points per replica (default
-// DefaultVirtualNodes).
-func WithVirtualNodes(n int) Option {
-	return func(r *Ring) error {
-		if n <= 0 {
-			return fmt.Errorf("hashring: non-positive virtual-node count %d", n)
+// build places n points per id under hash and sorts them once.
+func build(ids []string, hash func(string) uint64, n int) (*Ring, error) {
+	seen := make(map[string]struct{}, len(ids))
+	points := make([]point, 0, len(ids)*n)
+	for _, id := range ids {
+		if id == "" {
+			return nil, fmt.Errorf("hashring: empty replica id")
 		}
-		r.vnodes = n
-		return nil
-	}
-}
-
-// New builds an empty ring.
-func New(opts ...Option) (*Ring, error) {
-	r := &Ring{hash: fnv64a, vnodes: DefaultVirtualNodes, members: make(map[string]struct{})}
-	r.points.Store(&[]point{})
-	for _, opt := range opts {
-		if err := opt(r); err != nil {
-			return nil, err
+		if _, dup := seen[id]; dup {
+			return nil, fmt.Errorf("hashring: replica %q given twice", id)
+		}
+		seen[id] = struct{}{}
+		for i := 0; i < n; i++ {
+			points = append(points, point{hash: hash(id + "#" + strconv.Itoa(i)), owner: id})
 		}
 	}
-	return r, nil
-}
-
-// Add places a replica's virtual nodes on the ring. Adding an id that is
-// already a member is an error.
-func (r *Ring) Add(id string) error {
-	if id == "" {
-		return fmt.Errorf("hashring: empty replica id")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[id]; ok {
-		return fmt.Errorf("hashring: replica %q already on the ring", id)
-	}
-	r.members[id] = struct{}{}
-	old := *r.points.Load()
-	next := make([]point, 0, len(old)+r.vnodes)
-	next = append(next, old...)
-	for i := 0; i < r.vnodes; i++ {
-		next = append(next, point{hash: r.hash(id + "#" + strconv.Itoa(i)), owner: id})
-	}
-	sort.Slice(next, func(a, b int) bool {
-		if next[a].hash != next[b].hash {
-			return next[a].hash < next[b].hash
+	sort.Slice(points, func(a, b int) bool {
+		if points[a].hash != points[b].hash {
+			return points[a].hash < points[b].hash
 		}
-		return next[a].owner < next[b].owner
+		return points[a].owner < points[b].owner
 	})
-	r.points.Store(&next)
-	return nil
-}
-
-// Remove takes a replica's virtual nodes off the ring, reporting whether
-// it was a member. Its arcs fall to the next point clockwise; no other
-// placement changes.
-func (r *Ring) Remove(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[id]; !ok {
-		return false
-	}
-	delete(r.members, id)
-	old := *r.points.Load()
-	next := make([]point, 0, len(old))
-	for _, p := range old {
-		if p.owner != id {
-			next = append(next, p)
-		}
-	}
-	r.points.Store(&next)
-	return true
+	return &Ring{hash: hash, points: points}, nil
 }
 
 // Lookup returns the replica owning key, or false on an empty ring. It
-// is lock-free (one atomic load of the published point slice) and
 // performs no allocations.
 func (r *Ring) Lookup(key string) (string, bool) {
-	points := *r.points.Load()
+	points := r.points
 	if len(points) == 0 {
 		return "", false
 	}
@@ -165,27 +94,8 @@ func (r *Ring) Lookup(key string) (string, bool) {
 	return points[lo].owner, true
 }
 
-// Members returns the replica ids on the ring, sorted.
-func (r *Ring) Members() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.members))
-	for id := range r.members {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Len returns the number of replicas on the ring.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.members)
-}
-
-// DefaultHash is the ring's default hash function (64-bit FNV-1a with
-// a murmur3-style finalizer), exported so other layers that must agree
+// DefaultHash is the ring's hash function (64-bit FNV-1a with a
+// murmur3-style finalizer), exported so other layers that must agree
 // with ring placement coordinates — e.g. the rollout cohort math, which
 // carves canary cohorts out of the same hash space — can reuse it
 // without re-implementing it.

@@ -45,8 +45,9 @@ func (c Counts) errors() uint64 {
 }
 
 // RouteStats summarizes one route's latency from its log2 histogram:
-// mean plus interpolated p50/p95/p99 (see telemetry.BucketBounds for
-// the resolution this implies).
+// mean plus interpolated p50/p95/p99. Bucket bounds double from
+// 1.024 µs, so a quantile is only as fine as one bucket, a factor of two
+// wide.
 type RouteStats struct {
 	Count   uint64  `json:"count"`
 	MeanSec float64 `json:"mean_s"`

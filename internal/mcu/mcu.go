@@ -58,16 +58,6 @@ func (m Model) SleepChargeUC(durSec float64) float64 {
 	return m.SleepCurrentUA * durSec
 }
 
-// AverageCurrentUA returns the MCU's average current when it executes
-// cyclesPerSec cycles of work each second and sleeps the rest of the time.
-func (m Model) AverageCurrentUA(cyclesPerSec float64) float64 {
-	active := cyclesPerSec / (m.ClockMHz * 1e6)
-	if active > 1 {
-		active = 1
-	}
-	return m.ActiveCurrentUA*active + m.SleepCurrentUA*(1-active)
-}
-
 // FeatureExtractionCycles returns the cycle cost of the AdaSense feature
 // set on one 3-axis batch of n samples with the given number of spectral
 // bins: per axis, a mean pass, a detrend+variance pass with one sqrt, and

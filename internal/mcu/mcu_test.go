@@ -32,21 +32,27 @@ func TestSleepChargeNonNegative(t *testing.T) {
 	}
 }
 
+// TestAverageCurrentBounds checks the charge accounting over one second
+// of duty cycle: any split between work and sleep draws an average
+// current between the sleep and the active current, and the extremes
+// draw exactly those.
 func TestAverageCurrentBounds(t *testing.T) {
 	m := Default()
+	perSec := uint64(m.ClockMHz * 1e6)
+	avg := func(cycles uint64) float64 {
+		return m.ActiveChargeUC(cycles) + m.SleepChargeUC(1-m.SecondsFor(cycles))
+	}
 	f := func(loadRaw uint32) bool {
-		load := float64(loadRaw % 100_000_000)
-		avg := m.AverageCurrentUA(load)
-		return avg >= m.SleepCurrentUA-1e-9 && avg <= m.ActiveCurrentUA+1e-9
+		a := avg(uint64(loadRaw) % (perSec + 1))
+		return a >= m.SleepCurrentUA-1e-9 && a <= m.ActiveCurrentUA+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Zero load: sleep current. Saturated: active current.
-	if got := m.AverageCurrentUA(0); got != m.SleepCurrentUA {
+	if got := avg(0); got != m.SleepCurrentUA {
 		t.Fatalf("idle current = %v", got)
 	}
-	if got := m.AverageCurrentUA(1e12); got != m.ActiveCurrentUA {
+	if got := avg(perSec); got != m.ActiveCurrentUA {
 		t.Fatalf("saturated current = %v", got)
 	}
 }

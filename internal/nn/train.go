@@ -51,14 +51,6 @@ type TrainResult struct {
 	EpochLoss []float64 // mean cross-entropy per epoch
 }
 
-// FinalLoss returns the last epoch's mean loss (NaN when empty).
-func (t TrainResult) FinalLoss() float64 {
-	if len(t.EpochLoss) == 0 {
-		return math.NaN()
-	}
-	return t.EpochLoss[len(t.EpochLoss)-1]
-}
-
 // adamState holds first/second moment estimates for one parameter slice.
 type adamState struct{ m, v []float64 }
 

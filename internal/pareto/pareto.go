@@ -33,16 +33,6 @@ type Result struct {
 	Front []Point
 }
 
-// FrontConfigs returns the frontier's configurations in descending current
-// order.
-func (r Result) FrontConfigs() []sensor.Config {
-	out := make([]sensor.Config, len(r.Front))
-	for i, p := range r.Front {
-		out[i] = p.Config
-	}
-	return out
-}
-
 // Strategy selects how classifiers are trained during exploration.
 type Strategy int
 

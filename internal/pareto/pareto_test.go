@@ -150,9 +150,4 @@ func TestExploreShape(t *testing.T) {
 			t.Fatal("front accuracy should not increase as current drops")
 		}
 	}
-	// FrontConfigs mirrors Front.
-	cfgs := res.FrontConfigs()
-	if len(cfgs) != len(res.Front) {
-		t.Fatal("FrontConfigs length mismatch")
-	}
 }

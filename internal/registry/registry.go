@@ -148,23 +148,6 @@ func (r *Registry[T]) Touch(id string) bool {
 	return ok
 }
 
-// Remove unregisters id and returns the value it held.
-func (r *Registry[T]) Remove(id string) (T, bool) {
-	s := r.shard(id)
-	s.mu.Lock()
-	e, ok := s.m[id]
-	if ok {
-		delete(s.m, id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	r.count.Add(-1)
-	return e.val, true
-}
-
 // CompareAndRemove unregisters id only if it still maps to v, reporting
 // whether it did. It lets an owner tear down its own registration without
 // racing a concurrent evict-and-reopen: if the id was evicted and reused
@@ -188,8 +171,8 @@ func (r *Registry[T]) Len() int { return int(r.count.Load()) }
 
 // Range calls f for every registered entry until f returns false. Each
 // shard is snapshotted under its read lock and f runs outside all locks,
-// so f may freely call back into the registry (Remove, Touch, Put) —
-// the price is the usual weak consistency: entries added or removed
+// so f may freely call back into the registry (CompareAndRemove, Touch,
+// Put) — the price is the usual weak consistency: entries added or removed
 // concurrently with the walk may or may not be visited.
 func (r *Registry[T]) Range(f func(id string, v T) bool) {
 	for i := range r.shards {

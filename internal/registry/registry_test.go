@@ -49,11 +49,11 @@ func TestPutGetRemove(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", r.Len())
 	}
-	if v, ok := r.Remove("a"); !ok || v != 1 {
-		t.Fatalf("Remove(a) = %v, %v", v, ok)
+	if !r.CompareAndRemove("a", 1) {
+		t.Fatal("CompareAndRemove(a, 1) failed")
 	}
-	if _, ok := r.Remove("a"); ok {
-		t.Fatal("second Remove succeeded")
+	if r.CompareAndRemove("a", 1) {
+		t.Fatal("second CompareAndRemove succeeded")
 	}
 	if r.Len() != 0 {
 		t.Fatalf("Len after remove = %d", r.Len())
@@ -75,9 +75,9 @@ func TestCapacityCap(t *testing.T) {
 	if err := r.Put("a", 9); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate Put = %v", err)
 	}
-	r.Remove("a")
+	r.CompareAndRemove("a", 1)
 	if err := r.Put("c", 3); err != nil {
-		t.Fatalf("Put after Remove = %v, capacity slot leaked", err)
+		t.Fatalf("Put after CompareAndRemove = %v, capacity slot leaked", err)
 	}
 }
 
@@ -177,7 +177,9 @@ func TestConcurrentChurn(t *testing.T) {
 				case 2:
 					r.Touch(id)
 				case 3:
-					r.Remove(id)
+					if v, ok := r.Get(id); ok {
+						r.CompareAndRemove(id, v)
+					}
 				case 4:
 					clk.Advance(time.Millisecond)
 					r.EvictIdle(50 * time.Millisecond)
@@ -242,8 +244,8 @@ func TestRange(t *testing.T) {
 	// The callback runs outside the shard locks, so it may mutate the
 	// registry mid-walk without deadlocking — the Drain sweep relies on
 	// this.
-	r.Range(func(id string, _ int) bool {
-		r.Remove(id)
+	r.Range(func(id string, v int) bool {
+		r.CompareAndRemove(id, v)
 		return true
 	})
 	if r.Len() != 0 {

@@ -86,19 +86,6 @@ func (t *Trace) Span(name string) func() {
 	}
 }
 
-// AddSpan records an already-measured stage — used by code that timed
-// itself (the classify pipeline hook) rather than via Span. Nil-safe.
-func (t *Trace) AddSpan(name string, start time.Time, dur time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if len(t.spans) < maxSpans {
-		t.spans = append(t.spans, Span{Name: name, Start: start.Sub(t.Start), Dur: dur})
-	}
-	t.mu.Unlock()
-}
-
 // Spans returns a copy of the spans recorded so far.
 func (t *Trace) Spans() []Span {
 	if t == nil {

@@ -43,7 +43,8 @@ func TestSpanRecording(t *testing.T) {
 	end := tr.Span("auth")
 	time.Sleep(time.Millisecond)
 	end()
-	tr.AddSpan("classify", time.Now(), 5*time.Millisecond)
+	end = tr.Span("classify")
+	end()
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -52,7 +53,7 @@ func TestSpanRecording(t *testing.T) {
 	if spans[0].Name != "auth" || spans[0].Dur < time.Millisecond {
 		t.Errorf("auth span = %+v", spans[0])
 	}
-	if spans[1].Name != "classify" || spans[1].Dur != 5*time.Millisecond {
+	if spans[1].Name != "classify" || spans[1].Start < spans[0].Start+spans[0].Dur {
 		t.Errorf("classify span = %+v", spans[1])
 	}
 }
@@ -60,7 +61,6 @@ func TestSpanRecording(t *testing.T) {
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Span("auth")() // must not panic
-	tr.AddSpan("x", time.Now(), 0)
 	if tr.Spans() != nil {
 		t.Error("nil trace should have nil spans")
 	}

@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"fmt"
 	"math"
 
 	"adasense/internal/rng"
@@ -62,6 +63,40 @@ type Batch struct {
 
 // Len returns the number of samples in the batch.
 func (b *Batch) Len() int { return len(b.X) }
+
+// MaxAbsReading is the largest reading magnitude Validate accepts, in
+// m/s²: 1000 g. No accelerometer measures that far (high-g parts stop
+// at ±400 g), so no reading a real sensor reports is refused, while a
+// finite value beyond it is a corrupt sample whose square would swamp
+// or overflow the window statistics.
+const MaxAbsReading = 1000 * synth.Gravity
+
+// BatchError reports a batch that Validate refuses.
+type BatchError struct{ Reason string }
+
+func (e *BatchError) Error() string { return "sensor: invalid batch: " + e.Reason }
+
+// Validate checks that b holds equal-length, non-empty axes whose every
+// reading is finite and within ±MaxAbsReading. It returns a *BatchError
+// describing the first fault, or nil.
+func (b *Batch) Validate() error {
+	if b == nil {
+		return &BatchError{Reason: "no batch"}
+	}
+	n := len(b.X)
+	if n == 0 || len(b.Y) != n || len(b.Z) != n {
+		return &BatchError{Reason: fmt.Sprintf("axes need equal non-zero lengths, got %d/%d/%d", n, len(b.Y), len(b.Z))}
+	}
+	for ax, samples := range [3][]float64{b.X, b.Y, b.Z} {
+		for i, v := range samples {
+			// One comparison refuses NaN, ±Inf and out-of-range values.
+			if !(math.Abs(v) <= MaxAbsReading) {
+				return &BatchError{Reason: fmt.Sprintf("%c[%d] = %g is not a finite reading within ±%g m/s²", "xyz"[ax], i, v, MaxAbsReading)}
+			}
+		}
+	}
+	return nil
+}
 
 // Duration returns the time span covered by the batch in seconds.
 func (b *Batch) Duration() float64 { return float64(b.Len()) / b.Config.FreqHz }

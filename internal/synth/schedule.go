@@ -116,16 +116,6 @@ func (s *Schedule) DominantActivity(t0, t1 float64) Activity {
 	return best
 }
 
-// Transitions returns the times at which the activity changes (segment
-// boundaries, excluding t=0 and t=Total).
-func (s *Schedule) Transitions() []float64 {
-	var out []float64
-	for i := 1; i < len(s.starts); i++ {
-		out = append(out, s.starts[i])
-	}
-	return out
-}
-
 // ChangeSetting names the user-activity volatility settings of the paper's
 // Fig. 7 comparison.
 type ChangeSetting int

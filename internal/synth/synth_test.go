@@ -244,9 +244,11 @@ func TestScheduleLookup(t *testing.T) {
 
 func TestScheduleTransitions(t *testing.T) {
 	s := MustSchedule(Segment{Sit, 10}, Segment{Walk, 20}, Segment{Stand, 5})
-	tr := s.Transitions()
-	if len(tr) != 2 || tr[0] != 10 || tr[1] != 30 {
-		t.Fatalf("Transitions = %v", tr)
+	// The activity changes exactly at the segment boundaries, 10 s and 30 s.
+	for tt, want := range map[float64]Activity{9.999: Sit, 10: Walk, 29.999: Walk, 30: Stand} {
+		if got := s.ActivityAt(tt); got != want {
+			t.Fatalf("ActivityAt(%v) = %v, want %v", tt, got, want)
+		}
 	}
 }
 

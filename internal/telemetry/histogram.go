@@ -22,7 +22,7 @@ const (
 )
 
 // bucketBounds holds the finite buckets' upper bounds in seconds,
-// computed once at init. Exposed through BucketBounds.
+// ascending, computed once at init. Every Histogram shares this layout.
 var bucketBounds = func() [NumBuckets]float64 {
 	var b [NumBuckets]float64
 	for i := range b {
@@ -30,13 +30,6 @@ var bucketBounds = func() [NumBuckets]float64 {
 	}
 	return b
 }()
-
-// BucketBounds returns the histograms' finite upper bucket bounds in
-// seconds, ascending. Every Histogram shares this layout.
-func BucketBounds() []float64 {
-	b := bucketBounds
-	return b[:]
-}
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent use:
 // every bin is an independent atomic counter, so Observe is two atomic

@@ -55,7 +55,7 @@ func TestHistogramSumAndCount(t *testing.T) {
 }
 
 func TestBucketBoundsLayout(t *testing.T) {
-	b := BucketBounds()
+	b := bucketBounds[:]
 	if len(b) != NumBuckets {
 		t.Fatalf("got %d bounds, want %d", len(b), NumBuckets)
 	}
@@ -332,7 +332,7 @@ func TestHistogramSnapshotQuantileEdges(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Hour) // far beyond the last finite bound
 	s := h.Snapshot()
-	last := BucketBounds()[NumBuckets-1]
+	last := bucketBounds[NumBuckets-1]
 	if got := s.Quantile(0.99); got != last {
 		t.Fatalf("overflow Quantile = %v, want clamp to last bound %v", got, last)
 	}

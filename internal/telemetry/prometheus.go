@@ -97,7 +97,7 @@ type HistogramSeries struct {
 }
 
 // Histogram emits one histogram metric family: for each series the
-// cumulative `le` buckets over the fixed BucketBounds layout, the
+// cumulative `le` buckets over the fixed log2 bucket layout, the
 // mandatory +Inf bucket, and the _sum and _count samples, each carrying
 // labelName=LabelValue. HELP and TYPE are emitted once for the family.
 func (e *Encoder) Histogram(name, help, labelName string, series []HistogramSeries) {

@@ -42,27 +42,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.V))
 }
 
-// TimeAverage returns the time-weighted average of a piecewise-constant
-// series (each value holds until the next sample time; the last value gets
-// the mean step as its holding time). Falls back to Mean for fewer than
-// two samples.
-func (s *Series) TimeAverage() float64 {
-	n := len(s.T)
-	if n < 2 {
-		return s.Mean()
-	}
-	var weighted, total float64
-	for i := 0; i < n-1; i++ {
-		dt := s.T[i+1] - s.T[i]
-		weighted += s.V[i] * dt
-		total += dt
-	}
-	last := total / float64(n-1)
-	weighted += s.V[n-1] * last
-	total += last
-	return weighted / total
-}
-
 // Recorder collects multiple named series.
 type Recorder struct {
 	series map[string]*Series
@@ -87,9 +66,6 @@ func (r *Recorder) Add(name string, t, v float64) {
 
 // Series returns the named series, or nil if absent.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
-
-// Names returns the series names in creation order.
-func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 
 // WriteCSV writes all series in long format: series,time,value.
 func (r *Recorder) WriteCSV(w io.Writer) error {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -35,26 +34,6 @@ func TestSeriesMean(t *testing.T) {
 	}
 }
 
-func TestTimeAverageWeightsDuration(t *testing.T) {
-	var s Series
-	// Value 10 held for 9 s, then value 0 held for ~the mean step.
-	s.Add(0, 10)
-	s.Add(9, 0)
-	got := s.TimeAverage()
-	// weighted: 10*9 + 0*9 over 18 s = 5.
-	if math.Abs(got-5) > 1e-9 {
-		t.Fatalf("TimeAverage = %v, want 5", got)
-	}
-}
-
-func TestTimeAverageSingleSample(t *testing.T) {
-	var s Series
-	s.Add(0, 7)
-	if s.TimeAverage() != 7 {
-		t.Fatal("single-sample TimeAverage should equal the value")
-	}
-}
-
 func TestRecorderSeriesLifecycle(t *testing.T) {
 	r := NewRecorder()
 	r.Add("current", 0, 180)
@@ -66,9 +45,13 @@ func TestRecorderSeriesLifecycle(t *testing.T) {
 	if r.Series("missing") != nil {
 		t.Fatal("missing series should be nil")
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "current" || names[1] != "state" {
-		t.Fatalf("Names = %v", names)
+	// Series keep their creation order.
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "series,time,value\ncurrent,0,180\ncurrent,1,96\nstate,0,0\n"; buf.String() != want {
+		t.Fatalf("CSV = %q, want %q", buf.String(), want)
 	}
 }
 

@@ -17,7 +17,7 @@
 # clock quantization alone can fake a >25% swing.
 #
 # The hot paths that must never allocate (histogram Observe, ADSS
-# encode, ADSP frame encode/decode, quantized PredictWS) are pinned by
+# encode, ADSP frame encode/decode, hash-ring Lookup) are pinned by
 # the `Test…Allocs` tests of their packages, so `go test ./...` fails on
 # them without a snapshot to compare against.
 #

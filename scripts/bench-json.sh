@@ -13,11 +13,14 @@
 #     "benchmarks": [
 #       {"package": "adasense", "name": "BenchmarkServiceClassify-8",
 #        "iterations": 100, "ns_per_op": 12345.0,
-#        "bytes_per_op": 64, "allocs_per_op": 1},
+#        "bytes_per_op": 64, "allocs_per_op": 1,
+#        "metrics": {"ns/sample": 41.2, "MB/s": 120.5}},
 #       ...
 #     ]
 #   }
 # bytes_per_op/allocs_per_op appear only for benchmarks reporting them.
+# "metrics" holds every other unit on the line (b.SetBytes' MB/s and
+# each b.ReportMetric unit) and appears only when there is one.
 set -euo pipefail
 
 if [ $# -ne 1 ] || [ ! -r "$1" ]; then
@@ -31,16 +34,18 @@ awk '
 /^pkg: /    { pkg = $2 }
 $1 ~ /^Benchmark/ && NF >= 4 {
     name = $1; iters = $2
-    ns = ""; bytes = ""; allocs = ""
+    ns = ""; bytes = ""; allocs = ""; metrics = ""
     for (i = 3; i + 1 <= NF; i += 2) {
         if ($(i+1) == "ns/op") ns = $(i)
         else if ($(i+1) == "B/op") bytes = $(i)
         else if ($(i+1) == "allocs/op") allocs = $(i)
+        else metrics = metrics sprintf("%s\"%s\": %s", (metrics == "" ? "" : ", "), $(i+1), $(i))
     }
     if (ns == "") next
     line = sprintf("    {\"package\": \"%s\", \"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", pkg, name, iters, ns)
     if (bytes != "")  line = line sprintf(", \"bytes_per_op\": %s", bytes)
     if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
+    if (metrics != "") line = line ", \"metrics\": {" metrics "}"
     bench[n++] = line "}"
 }
 END {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # check-docs.sh — fail if the documentation has gone stale:
 #   1. every backticked `adasense.Name` / `adasense.Type.Method` cited
-#      in docs/*.md must resolve via `go doc`, so renames and removals
-#      cannot silently strand the documentation;
+#      in docs/*.md must resolve via `go doc`, and so must every
+#      `pkg.Name` / `pkg.Type.Method` whose pkg is a directory under
+#      internal/, so renames and removals cannot silently strand the
+#      documentation;
 #   2. every relative markdown link in README.md and docs/*.md must
 #      point at an existing file, so docs pages cannot cross-reference
 #      a page that was moved or never written;
@@ -54,8 +56,18 @@ while IFS= read -r sym; do
         fail=1
     fi
 done <<< "$syms"
+# Citations of internal packages resolve against ./internal/<pkg>.
+ipkgs=$(find internal -mindepth 1 -maxdepth 1 -type d -printf '%f\n' | paste -sd'|')
+isyms=$(grep -rhoE "\`(${ipkgs})\.[A-Za-z0-9]+(\.[A-Za-z0-9]+)?\`" docs/*.md | tr -d '`' | sort -u || true)
+while IFS= read -r sym; do
+    [ -n "$sym" ] || continue
+    if ! go doc "./internal/${sym%%.*}" "${sym#*.}" >/dev/null 2>&1; then
+        echo "check-docs: docs reference unresolved internal symbol: $sym" >&2
+        fail=1
+    fi
+done <<< "$isyms"
 if [ "$fail" -eq 0 ]; then
-    echo "check-docs: $(echo "$syms" | wc -l | tr -d ' ') symbol reference(s) resolve"
+    echo "check-docs: $(echo "$syms" | wc -l | tr -d ' ') symbol and $(echo "$isyms" | grep -c . || true) internal symbol reference(s) resolve"
 fi
 
 # --- metric series coverage --------------------------------------------

@@ -19,6 +19,14 @@ import (
 // sensor configuration — the unit applications push into a Session.
 type Batch = sensor.Batch
 
+// BatchError is the error Session.Push and Service.Classify return for a
+// batch they refuse before touching any state: axes of unequal or zero
+// length, or a reading that is NaN, infinite or beyond ±1000 g
+// (sensor.MaxAbsReading). The gateway's HTTP door answers it with 400,
+// its ADSP door with a bad-batch error frame on a connection that stays
+// open.
+type BatchError = sensor.BatchError
+
 // NoiseModel is the sensor's stochastic reading model.
 type NoiseModel = sensor.NoiseModel
 
@@ -183,8 +191,8 @@ func (svc *Service) release(p *Pipeline) {
 // is safe for concurrent use; scratch buffers come from the service's
 // pool, so the call does not allocate in steady state.
 func (svc *Service) Classify(b *Batch) (Classification, error) {
-	if b == nil || b.Len() == 0 {
-		return Classification{}, fmt.Errorf("adasense: Classify needs a non-empty batch")
+	if err := b.Validate(); err != nil {
+		return Classification{}, err
 	}
 	p, err := svc.acquire()
 	if err != nil {
