@@ -1,16 +1,13 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus serving-layer throughput baselines. Each figure
-// benchmark runs the corresponding experiment from internal/experiments
-// at a size that completes in seconds; the paper-scale runs behind
-// EXPERIMENTS.md use cmd/adasense-experiments.
+// Serving-layer throughput baselines: the BenchmarkService* group
+// measures the Service/Session layer itself (session churn, concurrent
+// classification and streaming throughput), and gateway_bench_test.go
+// prices the gateway on top of it.
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Service -benchmem
 //
-// The reported metric of interest for the figure benchmarks is the custom
-// one attached with b.ReportMetric (accuracy, µA, savings), not ns/op.
-// The BenchmarkService* group measures the Service/Session layer itself
-// (session churn, concurrent classification and streaming throughput) so
-// later scaling work has a baseline.
+// The paper's experiments are not benchmarked here: the tests of
+// internal/experiments check their results, and perfbench's paper_suite
+// workload times each one (docs/perf.md).
 package adasense_test
 
 import (
@@ -118,231 +115,4 @@ func BenchmarkServiceConcurrentSessions(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTable1Configurations regenerates Table I (the sixteen sensor
-// configurations with the power model's mode/duty/current columns).
-func BenchmarkTable1Configurations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table1()
-		if len(res.Rows) != 16 {
-			b.Fatal("table incomplete")
-		}
-	}
-}
-
-// BenchmarkFig2DesignSpace regenerates the Fig. 2 accuracy/current
-// landscape and Pareto frontier over all sixteen configurations.
-func BenchmarkFig2DesignSpace(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig2(experiments.Fig2Spec{TrainWindows: 1200, TestWindows: 900, Replicas: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			top := 0.0
-			for _, p := range res.Exploration.Points {
-				if p.Accuracy > top {
-					top = p.Accuracy
-				}
-			}
-			b.ReportMetric(100*top, "best-acc-%")
-			b.ReportMetric(float64(len(res.Exploration.Front)), "front-size")
-		}
-	}
-}
-
-// BenchmarkFig5Behavioral regenerates the Fig. 5 120-second behavioural
-// trace (sit 60 s → walk 60 s) under SPOT-with-confidence.
-func BenchmarkFig5Behavioral(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.FloorReachedAt, "floor-at-s")
-			b.ReportMetric(res.Run.AvgSensorCurrentUA, "avg-uA")
-		}
-	}
-}
-
-// fig6 runs the Fig. 6 sweep once per benchmark invocation and reports the
-// requested panel's metrics.
-func fig6(b *testing.B, powerPanel bool) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig6(experiments.Fig6Spec{
-			Thresholds:  []int{0, 10, 20, 40, 60},
-			Repeats:     2,
-			ScheduleSec: 300,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			last := res.Rows[len(res.Rows)-1]
-			if powerPanel {
-				b.ReportMetric(100*res.OpSavingSPOT, "spot-saving-%")
-				b.ReportMetric(100*res.OpSavingConf, "conf-saving-%")
-			} else {
-				b.ReportMetric(100*res.Rows[0].SPOTAcc, "acc-thr0-%")
-				b.ReportMetric(100*last.SPOTAcc, "acc-thr60-%")
-			}
-		}
-	}
-}
-
-// BenchmarkFig6aAccuracy regenerates Fig. 6a: classification accuracy vs
-// stability threshold for baseline / SPOT / SPOT+confidence.
-func BenchmarkFig6aAccuracy(b *testing.B) { fig6(b, false) }
-
-// BenchmarkFig6bPower regenerates Fig. 6b: sensor power vs stability
-// threshold, including the headline operating-point savings.
-func BenchmarkFig6bPower(b *testing.B) { fig6(b, true) }
-
-// BenchmarkFig7Comparison regenerates Fig. 7: AdaSense vs the
-// intensity-based approach across the High/Medium/Low settings.
-func BenchmarkFig7Comparison(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig7(experiments.Fig7Spec{Repeats: 2, ScheduleSec: 300})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			low := res.Rows[2]
-			b.ReportMetric(100*(1-low.AdaSensePow/low.IbAPow), "low-saving-%")
-		}
-	}
-}
-
-// BenchmarkMemoryFootprint regenerates the Section V-D classifier-memory
-// comparison (1 shared network vs 2 per-rate vs 4 per-configuration).
-func BenchmarkMemoryFootprint(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		m := l.Memory()
-		if i == b.N-1 {
-			b.ReportMetric(float64(m.BankBytes)/float64(m.SharedBytes), "iba-ratio")
-			b.ReportMetric(float64(m.PerConfigBytes)/float64(m.SharedBytes), "perconfig-ratio")
-		}
-	}
-}
-
-// BenchmarkProcessingOverhead regenerates the Section V-D data-processing
-// comparison: IbA's derivative computation vs AdaSense's pipeline.
-func BenchmarkProcessingOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Overhead()
-		if i == b.N-1 {
-			r := res.Rows[0] // F100_A128's 200-sample window
-			b.ReportMetric(100*(float64(r.IbACycles)/float64(r.AdaSenseCycles)-1), "iba-overhead-%")
-		}
-	}
-}
-
-// BenchmarkFeatureAblation regenerates the Section III-B claim: accuracy
-// vs number of Fourier coefficients, saturating around three.
-func BenchmarkFeatureAblation(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.FeatureAblation(1500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(100*res.Rows[0].Accuracy, "acc-0bins-%")
-			b.ReportMetric(100*res.Rows[3].Accuracy, "acc-3bins-%")
-		}
-	}
-}
-
-// BenchmarkAblationConfidence sweeps the SPOT confidence threshold (the
-// paper fixes 0.85 without justification; this locates the sweet spot).
-func BenchmarkAblationConfidence(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.ConfidenceAblation(10, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, row := range res.Rows {
-				if row.Confidence == 0.85 {
-					b.ReportMetric(row.PowerUA, "uA-at-0.85")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkAblationFixedPoint compares float32 and Q15 deployments of the
-// shared classifier.
-func BenchmarkAblationFixedPoint(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.FixedPointAblation(1200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(100*(res.FloatAccuracy-res.Q15Accuracy), "acc-cost-pp")
-		}
-	}
-}
-
-// BenchmarkAblationDescendMode compares the two readings of the paper's
-// stability-counter semantics (count-once vs count-per-state) on the same
-// workload; see internal/core.DescendMode.
-func BenchmarkAblationDescendMode(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.DescendModeAblation(10, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.CountOncePowerUA, "count-once-uA")
-			b.ReportMetric(res.CountPerStatePowerUA, "per-state-uA")
-		}
-	}
-}
-
-// BenchmarkAblationHiddenWidth sweeps the classifier's hidden width: the
-// accuracy-per-byte trade-off behind the paper's memory argument.
-func BenchmarkAblationHiddenWidth(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.HiddenWidthAblation(1500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, row := range res.Rows {
-				if row.Hidden == 32 {
-					b.ReportMetric(100*row.Accuracy, "acc-h32-%")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkAblationFeatureFamilies compares the statistical, Fourier and
-// wavelet feature families (the paper's related-work trade-off) on
-// accuracy and per-window MCU cost.
-func BenchmarkAblationFeatureFamilies(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.FeatureFamilyAblation(1500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(100*res.Rows[1].Accuracy, "fourier-acc-%")
-			b.ReportMetric(100*res.Rows[2].Accuracy, "wavelet-acc-%")
-		}
-	}
 }

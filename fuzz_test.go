@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	"adasense/internal/nn"
@@ -99,14 +100,67 @@ func fuzzSessionStateSeed(f *testing.F) []byte {
 	return buf
 }
 
+// fuzzRestoreService serves an untrained network with the default
+// controller: FuzzSessionStateRoundTrip restores each accepted container
+// into one of its sessions and pushes a valid batch after it. push
+// returns one 2 s batch at cfg.
+func fuzzRestoreService(f *testing.F) (svc *Service, push func(cfg Config) *Batch) {
+	f.Helper()
+	svc, err := NewService(&System{Network: nn.New(15, 4, NumActivities, rng.New(1))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sched, err := NewSchedule([]Segment{{Activity: Walk, Duration: 10}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := NewMotion(sched, 5)
+	return svc, func(cfg Config) *Batch { return NewSampler(DefaultNoiseModel(), 6).Sample(m, cfg, 0, 2) }
+}
+
+// fuzzLiveStateSeeds snapshots a session of svc after 1.3 s of readings
+// (a window remainder and a pending count) and encodes it twice: as
+// taken, and with a NaN in the window remainder under a valid CRC.
+func fuzzLiveStateSeeds(f *testing.F, svc *Service, push func(Config) *Batch) (live, nan []byte) {
+	f.Helper()
+	sess, err := svc.OpenSession("seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer sess.Close()
+	b := push(sess.Config())
+	n := b.Len() * 13 / 20
+	if _, err := sess.Push(&Batch{Config: b.Config, X: b.X[:n], Y: b.Y[:n], Z: b.Z[:n]}); err != nil {
+		f.Fatal(err)
+	}
+	st, err := sess.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if live, err = st.AppendBinary(nil); err != nil {
+		f.Fatal(err)
+	}
+	st.Engine.X[0] = math.NaN()
+	if nan, err = st.AppendBinary(nil); err != nil {
+		f.Fatal(err)
+	}
+	return live, nan
+}
+
 // FuzzSessionStateRoundTrip throws arbitrary bytes at the ADSS decoder —
 // the exact path a hostile PUT /v1/session-state body reaches. The
 // invariants mirror FuzzLoadSystem's: no panic, no implausible
 // allocation (every interior length is bounds-checked before anything is
 // sized from it), and any container the decoder accepts must re-encode
 // byte-identically — the canonical-encoding property the differential
-// handoff tests rely on.
+// handoff tests rely on. When Session.Restore also accepts it, one valid
+// push after the restore must emit only finite confidences: a restored
+// window remainder meets the same check as a pushed batch.
 func FuzzSessionStateRoundTrip(f *testing.F) {
+	svc, push := fuzzRestoreService(f)
+	live, nan := fuzzLiveStateSeeds(f, svc, push)
+	f.Add(live)
+	f.Add(nan) // NaN in the window remainder, CRC valid
 	valid := fuzzSessionStateSeed(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-payload
@@ -140,6 +194,27 @@ func FuzzSessionStateRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(buf, data) {
 			t.Fatalf("round trip not byte-identical:\nin:  %x\nout: %x", data, buf)
+		}
+
+		sess, err := svc.OpenSession("fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if err := sess.Restore(st); err != nil {
+			return
+		}
+		events, err := sess.Push(push(sess.Config()))
+		if err != nil {
+			t.Fatalf("valid push after an accepted restore: %v", err)
+		}
+		if len(events) == 0 {
+			t.Fatal("a 2 s push after a restore completed no tick")
+		}
+		for _, ev := range events {
+			if c := ev.Classification.Confidence; math.IsNaN(c) || math.IsInf(c, 0) {
+				t.Fatalf("restored session emitted confidence %v", c)
+			}
 		}
 	})
 }

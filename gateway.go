@@ -782,14 +782,21 @@ func (s *GatewaySession) Energy() EnergyEstimate {
 
 // Push feeds a batch of raw readings and returns the classification
 // events it completed, refreshing the session's idle timer. It returns
-// ErrSessionClosed after Close or eviction and ErrRateLimited when the
-// device is over its token budget (the batch is not applied — the
-// device should back off and resample, not retry the same window).
+// ErrSessionClosed after Close or eviction, a *BatchError for a batch
+// that fails Batch.Validate, and ErrRateLimited when the device is over
+// its token budget (the batch is not applied — the device should back
+// off and resample, not retry the same window). A refused batch is
+// checked before the rate limit, so it spends no token and does not
+// count as an error against the device's rollout arm.
 func (s *GatewaySession) Push(b *Batch) ([]Event, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrSessionClosed, s.id)
+	}
+	if err := b.Validate(); err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
 	if err := s.gw.allow(s.id); err != nil {
 		s.mu.Unlock()

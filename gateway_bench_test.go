@@ -2,6 +2,7 @@
 // through the sharded registry, lookup on a populated fleet, one-shot
 // Classify overhead versus a bare Service, and telemetry counter
 // overhead. Run alongside BenchmarkService* to price the gateway layer.
+// TestGatewayAllocs pins the allocation-free paths among them at zero.
 package adasense_test
 
 import (
@@ -14,10 +15,9 @@ import (
 	"adasense/internal/telemetry"
 )
 
-// benchCluster federates benchGateway's replica into a five-member
-// fleet (peers never dialed: routing is pure ring math).
-func benchCluster(b *testing.B) *adasense.Cluster {
-	b.Helper()
+// fleetReplicas is a five-member fleet around "gw-self" whose peers are
+// never dialed: routing is pure ring math.
+func fleetReplicas() []adasense.Replica {
 	replicas := []adasense.Replica{{ID: "gw-self"}}
 	for i := 0; i < 4; i++ {
 		replicas = append(replicas, adasense.Replica{
@@ -25,7 +25,81 @@ func benchCluster(b *testing.B) *adasense.Cluster {
 			URL: fmt.Sprintf("http://peer-%d.internal:8734", i),
 		})
 	}
-	c, err := adasense.NewCluster(benchGateway(b), "gw-self", replicas)
+	return replicas
+}
+
+// ownedDevice returns the first "bench-dev-N" id that c's local replica
+// owns (local) or that a peer owns (!local).
+func ownedDevice(tb testing.TB, c *adasense.Cluster, local bool) string {
+	tb.Helper()
+	for i := 0; i < 10000; i++ {
+		if id := fmt.Sprintf("bench-dev-%d", i); c.Owns(id) == local {
+			return id
+		}
+	}
+	tb.Fatalf("no device hashes to a replica with local=%v", local)
+	return ""
+}
+
+// TestGatewayAllocs pins the per-request work a federated gateway does
+// around a push at zero allocations: the routing decision for a device
+// this replica owns and for one a peer owns (one ring hash plus a binary
+// search), the id lookup on a thousand-device fleet, and the serving
+// counters every push adds to.
+func TestGatewayAllocs(t *testing.T) {
+	gw := testGateway(t, baselineFleet())
+	c, err := adasense.NewCluster(gw, "gw-self", fleetReplicas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, remote := ownedDevice(t, c, true), ownedDevice(t, c, false)
+	ids := make([]string, 1000)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("device-%d", i)
+		if _, err := gw.Open(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	var tel telemetry.Counters
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"cluster route local", func() {
+			if rep, isLocal := c.Route(local); !isLocal || rep.ID != "gw-self" {
+				t.Fatal("local device routed to a peer")
+			}
+		}},
+		{"cluster route remote", func() {
+			if rep, isLocal := c.Route(remote); isLocal || rep.ID == "gw-self" {
+				t.Fatal("remote device routed locally")
+			}
+		}},
+		{"gateway lookup", func() {
+			if _, ok := gw.Lookup(ids[next%len(ids)]); !ok {
+				t.Fatal("lookup miss")
+			}
+			next++
+		}},
+		{"telemetry count", func() {
+			tel.BatchesPushed.Add(1)
+			tel.EventsEmitted.Add(1)
+			tel.PoolHits.Add(1)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+				t.Fatalf("%v allocs per call, want 0", got)
+			}
+		})
+	}
+}
+
+func benchCluster(b *testing.B) *adasense.Cluster {
+	b.Helper()
+	c, err := adasense.NewCluster(benchGateway(b), "gw-self", fleetReplicas())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,20 +108,11 @@ func benchCluster(b *testing.B) *adasense.Cluster {
 
 // BenchmarkClusterRoute measures the federation routing decision on the
 // local-hit path — the per-request tax every device of a five-replica
-// fleet pays before its gateway work begins. It must report zero
-// allocations: routing is one ring hash plus a binary search.
+// fleet pays before its gateway work begins. TestGatewayAllocs pins it
+// at zero allocations.
 func BenchmarkClusterRoute(b *testing.B) {
 	c := benchCluster(b)
-	// Find a device this replica owns, so the loop prices the local hit.
-	local := ""
-	for i := 0; i < 10000 && local == ""; i++ {
-		if id := fmt.Sprintf("bench-dev-%d", i); c.Owns(id) {
-			local = id
-		}
-	}
-	if local == "" {
-		b.Fatal("no device hashes to the local replica")
-	}
+	local := ownedDevice(b, c, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,15 +127,7 @@ func BenchmarkClusterRoute(b *testing.B) {
 // measured here).
 func BenchmarkClusterRouteRemote(b *testing.B) {
 	c := benchCluster(b)
-	remote := ""
-	for i := 0; i < 10000 && remote == ""; i++ {
-		if id := fmt.Sprintf("bench-dev-%d", i); !c.Owns(id) {
-			remote = id
-		}
-	}
-	if remote == "" {
-		b.Fatal("no device hashes to a peer")
-	}
+	remote := ownedDevice(b, c, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

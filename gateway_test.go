@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -543,6 +544,75 @@ func TestGatewayRateLimit(t *testing.T) {
 	}
 	if s.RateLimitedGlobal == 0 {
 		t.Fatalf("RateLimitedGlobal = %d, want > 0", s.RateLimitedGlobal)
+	}
+}
+
+// nanBatch is gatewayBatch with one NaN reading, which Batch.Validate
+// refuses.
+func nanBatch(t *testing.T) *adasense.Batch {
+	t.Helper()
+	b := *gatewayBatch(t)
+	b.X = append([]float64(nil), b.X...)
+	b.X[3] = math.NaN()
+	return &b
+}
+
+// TestGatewayRefusedBatchSpendsNoToken: a batch the gateway refuses is
+// checked before the rate limit, so it does not cost the device the
+// token its next valid push needs.
+func TestGatewayRefusedBatchSpendsNoToken(t *testing.T) {
+	gw := testGateway(t, baselineFleet(),
+		adasense.WithRateLimit(adasense.RateLimit{DevicePerSec: 0.001, DeviceBurst: 2}))
+	sess, err := gw.Open("dev") // the first of the burst's two tokens
+	if err != nil {
+		t.Fatal(err)
+	}
+	var be *adasense.BatchError
+	if _, err := sess.Push(nanBatch(t)); !errors.As(err, &be) {
+		t.Fatalf("NaN push = %v, want a *BatchError", err)
+	}
+	if _, err := sess.Push(gatewayBatch(t)); err != nil {
+		t.Fatalf("valid push after a refused one = %v, want nil", err)
+	}
+	if s := gw.Stats(); s.RateLimitedDevice != 0 {
+		t.Fatalf("RateLimitedDevice = %d, want 0", s.RateLimitedDevice)
+	}
+}
+
+// TestGatewayRefusedBatchIsNoRolloutError: during an active rollout, a
+// refused batch leaves both arms' error counts where they were, while
+// a push the session itself fails (a batch at the wrong configuration)
+// still counts against the device's arm.
+func TestGatewayRefusedBatchIsNoRolloutError(t *testing.T) {
+	gw := testGateway(t, baselineFleet())
+	sess, err := gw.Open("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.StartRollout(modelBytes(t), adasense.DefaultRolloutConfig()); err != nil {
+		t.Fatal(err)
+	}
+	armErrors := func() uint64 {
+		t.Helper()
+		st, err := gw.RolloutStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Canary.Errors + st.Incumbent.Errors
+	}
+	if _, err := sess.Push(nanBatch(t)); err == nil {
+		t.Fatal("NaN push accepted")
+	}
+	if got := armErrors(); got != 0 {
+		t.Fatalf("arm errors after a refused batch = %d, want 0", got)
+	}
+	wrong := *gatewayBatch(t)
+	wrong.Config = adasense.ParetoStates()[3]
+	if _, err := sess.Push(&wrong); err == nil {
+		t.Fatal("push at the wrong configuration accepted")
+	}
+	if got := armErrors(); got != 1 {
+		t.Fatalf("arm errors after a failed push = %d, want 1", got)
 	}
 }
 

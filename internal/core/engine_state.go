@@ -63,8 +63,9 @@ func (e *Engine) Snapshot() *EngineState {
 // configured controller. Every field is validated before it is applied:
 // the controller payload kind must match, the post-restore controller
 // configuration must equal the snapshot's (catching skewed state lists),
-// and the pending count and window length must fit the configuration's
-// hop and window sizes. On error the engine is left Reset — the cold
+// the pending count and window length must fit the configuration's hop
+// and window sizes, and a non-empty window remainder must pass
+// sensor.Batch.Validate. On error the engine is left Reset — the cold
 // fallback state — never half-restored.
 func (e *Engine) Restore(es *EngineState) error {
 	if err := e.restore(es); err != nil {
@@ -91,8 +92,13 @@ func (e *Engine) restore(es *EngineState) error {
 	if es.Pending < 0 || es.Pending >= hop {
 		return fmt.Errorf("core: restore: pending %d outside hop of %d samples", es.Pending, hop)
 	}
-	if len(es.X) != len(es.Y) || len(es.X) != len(es.Z) {
-		return fmt.Errorf("core: restore: ragged window axes %d/%d/%d", len(es.X), len(es.Y), len(es.Z))
+	if len(es.X) > 0 || len(es.Y) > 0 || len(es.Z) > 0 {
+		// The remainder meets the check every pushed batch meets, so a
+		// snapshot cannot smuggle in readings Push would refuse.
+		rem := sensor.Batch{Config: es.Config, X: es.X, Y: es.Y, Z: es.Z}
+		if err := rem.Validate(); err != nil {
+			return fmt.Errorf("core: restore: window remainder: %w", err)
+		}
 	}
 	if max := es.Config.BatchSize(e.windowSec); len(es.X) > max {
 		return fmt.Errorf("core: restore: window of %d samples exceeds %d at %s", len(es.X), max, es.Config.Name())

@@ -186,6 +186,31 @@ func TestDetrend(t *testing.T) {
 	}
 }
 
+// TestDSPAllocs pins the per-window kernels at zero allocations: one
+// Goertzel bin over a 2 s, 100 Hz window, and a Haar decomposition into
+// a reused workspace (AllocsPerRun's warm-up call sizes it).
+func TestDSPAllocs(t *testing.T) {
+	x := make([]float64, 256)
+	for i := range x {
+		x[i] = math.Sin(float64(i) / 3)
+	}
+	var w DWT
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Goertzel200", func() { Goertzel(x[:200], 2, 100) }},
+		{"HaarDWT256Reuse", func() { w.Transform(x, 5) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+				t.Fatalf("%v allocs per call, want 0", got)
+			}
+		})
+	}
+}
+
 func BenchmarkGoertzel200(b *testing.B) {
 	x := make([]float64, 200)
 	for i := range x {

@@ -1,6 +1,6 @@
-// Package eval provides classification metrics: accuracy, confusion
-// matrices and per-class precision/recall/F1, used by the design-space
-// exploration and by EXPERIMENTS.md reporting.
+// Package eval provides classification metrics: a confusion matrix and
+// the accuracy read from it, used by the design-space exploration and
+// the experiments.
 package eval
 
 import (
@@ -45,40 +45,6 @@ func (c *Confusion) Accuracy() float64 {
 		return 0
 	}
 	return float64(c.Correct()) / float64(t)
-}
-
-// Precision returns the precision of class a (0 when the class was never
-// predicted).
-func (c *Confusion) Precision(a synth.Activity) float64 {
-	col := 0
-	for i := range c {
-		col += c[i][a]
-	}
-	if col == 0 {
-		return 0
-	}
-	return float64(c[a][a]) / float64(col)
-}
-
-// Recall returns the recall of class a (0 when the class never occurred).
-func (c *Confusion) Recall(a synth.Activity) float64 {
-	row := 0
-	for j := range c[a] {
-		row += c[a][j]
-	}
-	if row == 0 {
-		return 0
-	}
-	return float64(c[a][a]) / float64(row)
-}
-
-// F1 returns the harmonic mean of precision and recall for class a.
-func (c *Confusion) F1(a synth.Activity) float64 {
-	p, r := c.Precision(a), c.Recall(a)
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // String renders the matrix as an aligned table with class labels.

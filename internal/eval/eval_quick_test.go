@@ -9,7 +9,8 @@ import (
 )
 
 // TestConfusionInvariants fills confusion matrices with random
-// observations and checks structural invariants of every metric.
+// observations and checks the structural invariants of the counts and
+// the accuracy.
 func TestConfusionInvariants(t *testing.T) {
 	f := func(seed uint16, nRaw uint8) bool {
 		r := rng.New(uint64(seed))
@@ -26,20 +27,7 @@ func TestConfusionInvariants(t *testing.T) {
 			return false
 		}
 		acc := c.Accuracy()
-		if acc < 0 || acc > 1 {
-			return false
-		}
-		for a := synth.Activity(0); int(a) < synth.NumActivities; a++ {
-			p, rec, f1 := c.Precision(a), c.Recall(a), c.F1(a)
-			if p < 0 || p > 1 || rec < 0 || rec > 1 || f1 < 0 || f1 > 1 {
-				return false
-			}
-			// F1 is bounded by both precision and recall's max.
-			if f1 > p+rec {
-				return false
-			}
-		}
-		return true
+		return acc >= 0 && acc <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -47,8 +35,7 @@ func TestConfusionInvariants(t *testing.T) {
 }
 
 // TestPerfectClassifierScoresOne checks that a diagonal matrix yields
-// accuracy and per-class F1 of exactly 1 regardless of class
-// distribution.
+// an accuracy of exactly 1 regardless of class distribution.
 func TestPerfectClassifierScoresOne(t *testing.T) {
 	f := func(counts [synth.NumActivities]uint8) bool {
 		var c Confusion
@@ -61,11 +48,6 @@ func TestPerfectClassifierScoresOne(t *testing.T) {
 		}
 		if total == 0 {
 			return true
-		}
-		for a, n := range counts {
-			if n > 0 && c.F1(synth.Activity(a)) != 1 {
-				return false
-			}
 		}
 		return c.Accuracy() == 1
 	}

@@ -30,29 +30,6 @@ func TestEmptyConfusion(t *testing.T) {
 	if c.Accuracy() != 0 {
 		t.Fatal("empty confusion should score 0")
 	}
-	if c.Precision(synth.Walk) != 0 || c.Recall(synth.Walk) != 0 || c.F1(synth.Walk) != 0 {
-		t.Fatal("per-class metrics of empty matrix should be 0")
-	}
-}
-
-func TestPrecisionRecall(t *testing.T) {
-	var c Confusion
-	// truth walk ×3: predicted walk, walk, sit.
-	c.Add(synth.Walk, synth.Walk)
-	c.Add(synth.Walk, synth.Walk)
-	c.Add(synth.Walk, synth.Sit)
-	// truth sit ×2: predicted walk, sit.
-	c.Add(synth.Sit, synth.Walk)
-	c.Add(synth.Sit, synth.Sit)
-	if got := c.Recall(synth.Walk); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Recall(walk) = %v", got)
-	}
-	if got := c.Precision(synth.Walk); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Precision(walk) = %v", got)
-	}
-	if got := c.F1(synth.Walk); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("F1(walk) = %v", got)
-	}
 }
 
 func TestStringContainsLabels(t *testing.T) {

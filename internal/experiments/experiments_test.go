@@ -240,8 +240,9 @@ func TestFeatureAblationSaturatesAtThreeBins(t *testing.T) {
 	}
 	// And accuracy saturates: going to 6 bins buys far less than the
 	// first three did. (Our synthetic gait keeps some harmonic content
-	// just above 3 Hz, so saturation is softer than the paper's; see
-	// EXPERIMENTS.md.)
+	// just above 3 Hz, so saturation is softer than the paper's; the
+	// full-size run is `adasense-experiments -run all`, and ROADMAP.md
+	// item 3 discusses the spectral bins.)
 	if acc(6) > acc(3)+0.045 {
 		t.Fatalf("6 bins (%v) should not beat 3 bins (%v) by much", acc(6), acc(3))
 	}
@@ -312,7 +313,8 @@ func TestFig2Shape(t *testing.T) {
 		t.Fatalf("points = %d", len(res.Exploration.Points))
 	}
 	// At test-scale corpora the per-point noise is ±1-2 %, so assert with
-	// a matching ε (the full-size run in EXPERIMENTS.md uses ε = 1 %).
+	// a matching ε (the full-size run, `adasense-experiments -run all`,
+	// uses ε = 1 %; ROADMAP.md item 3 records its numbers).
 	idxByName := map[string]int{}
 	for i, p := range res.Exploration.Points {
 		idxByName[p.Config.Name()] = i

@@ -1,10 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section V) plus the prose claims of Sections III-B and V-D.
 // Each experiment has a runner returning a structured result with a
-// Render method; cmd/adasense-experiments and the repository's benchmarks
-// are thin wrappers around these runners.
+// Render method; cmd/adasense-experiments and perfbench's paper_suite
+// workload are thin wrappers around these runners.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index:
 //
 //	Table1           — Table I: the 16 sensor configurations
 //	Fig2             — design-space exploration and Pareto frontier

@@ -172,6 +172,17 @@ func TestBinFreqsCopy(t *testing.T) {
 	}
 }
 
+// TestExtractAllocs pins feature extraction from a 2 s, 100 Hz window
+// into a caller-sized vector at zero allocations.
+func TestExtractAllocs(t *testing.T) {
+	batch := sampleBatch(t, synth.Walk, sensor.Config{FreqHz: 100, AvgWindow: 128}, 1)
+	e := MustExtractor(nil)
+	dst := make([]float64, e.Size())
+	if got := testing.AllocsPerRun(100, func() { e.Extract(batch, dst) }); got != 0 {
+		t.Fatalf("%v allocs per window, want 0", got)
+	}
+}
+
 func BenchmarkExtract200Samples(b *testing.B) {
 	sched := synth.MustSchedule(synth.Segment{Activity: synth.Walk, Duration: 20})
 	m := synth.NewMotion(synth.DefaultModels(), sched, rng.New(1))

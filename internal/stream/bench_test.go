@@ -22,13 +22,15 @@ func benchBatch() *BatchMsg {
 
 // TestStreamFrameAllocs pins the frame codec's hot paths at zero
 // allocations: building a batch frame into a reused buffer (the device
-// and ack side) and validating plus decoding one into a reused BatchMsg
-// (the gateway side).
+// and ack side), validating plus decoding one into a reused BatchMsg
+// (the gateway side), and the streaming Reader's read of the next frame
+// into its reused payload buffer.
 func TestStreamFrameAllocs(t *testing.T) {
 	m := benchBatch()
 	var buf []byte
 	data := AppendFrame(nil, FrameBatch, AppendBatch(nil, m))
 	var dec BatchMsg
+	rd := NewReader(&loopReader{data: data})
 	cases := []struct {
 		name string
 		fn   func()
@@ -44,6 +46,11 @@ func TestStreamFrameAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := dec.Decode(f.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"reader next", func() {
+			if _, err := rd.Next(); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -119,6 +126,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 
 // BenchmarkStreamReaderNext measures the full streaming decode loop —
 // header read, validation, payload+CRC read into the reused buffer.
+// Pinned at 0 allocs/op by TestStreamFrameAllocs.
 func BenchmarkStreamReaderNext(b *testing.B) {
 	m := benchBatch()
 	data := AppendFrame(nil, FrameBatch, AppendBatch(nil, m))

@@ -229,14 +229,22 @@ func TestEncoderGaugeWithLabels(t *testing.T) {
 }
 
 // TestTelemetryAllocs pins the instruments that sit on the serving hot
-// path (an Observe per request) at zero allocations.
+// path (an Observe and a few counter adds per request) at zero
+// allocations.
 func TestTelemetryAllocs(t *testing.T) {
 	var h Histogram
+	var l Latencies
+	var c Counters
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"HistogramObserve", func() { h.Observe(3 * time.Microsecond) }},
+		{"LatenciesObserveRoute", func() { l.ObserveRoute(RoutePush, 3*time.Microsecond) }},
+		{"CounterAdd", func() {
+			c.BatchesPushed.Add(1)
+			c.EventsEmitted.Add(1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

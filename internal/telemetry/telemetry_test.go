@@ -85,7 +85,7 @@ func TestCountersConcurrent(t *testing.T) {
 }
 
 // BenchmarkCounterAdd measures the per-increment cost of the hot-path
-// counters; it must report zero allocations.
+// counters; TestTelemetryAllocs pins them at zero allocations.
 func BenchmarkCounterAdd(b *testing.B) {
 	var c Counters
 	b.ReportAllocs()

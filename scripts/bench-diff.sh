@@ -1,25 +1,24 @@
 #!/usr/bin/env bash
-# bench-diff.sh — compare two BENCH_PR<n>.json perf snapshots (see
-# bench-json.sh for the shape) and print the ns/op and allocs/op deltas
-# as a table, so a PR's perf story is one command instead of two JSON
-# files side by side.
+# bench-diff.sh — compare two perf snapshots made by bench-json.sh and
+# print the ns/op and allocs/op deltas as a table. CI's bench-snapshot
+# job runs it on the merge base's snapshot and the head's, both
+# benchmarked on the same runner in the same job, so the two columns
+# are comparable.
 #
 # Usage:
-#   scripts/bench-diff.sh [--gate] OLD.json NEW.json
+#   scripts/bench-diff.sh [--gate] BASE.json HEAD.json
 #
 # With --gate the exit status enforces the hot-path perf contract: any
-# benchmark that was allocation-free in OLD must stay allocation-free
-# and within +25% ns/op in NEW. Allocating benchmarks are reported but
-# never gated — their costs are dominated by work the snapshots already
-# track explicitly. The ns/op gate also requires the regression to be
-# at least 50ns absolute: snapshots come from -benchtime=100x runs,
-# where a tens-of-ns benchmark's total measured time is a few µs and
-# clock quantization alone can fake a >25% swing.
+# benchmark that was allocation-free in BASE must stay allocation-free
+# and within +25% ns/op in HEAD. Allocating benchmarks are reported but
+# never gated. The ns/op gate also requires the regression to be at
+# least 50ns absolute: snapshots come from -benchtime=100x runs, where
+# a tens-of-ns benchmark's total measured time is a few µs and clock
+# quantization alone can fake a >25% swing.
 #
-# The hot paths that must never allocate (histogram Observe, ADSS
-# encode, ADSP frame encode/decode, hash-ring Lookup) are pinned by
-# the `Test…Allocs` tests of their packages, so `go test ./...` fails on
-# them without a snapshot to compare against.
+# The hot paths that must never allocate are also pinned by the
+# `Test…Allocs` tests of their packages (docs/perf.md lists them), so
+# `go test ./...` fails on them without a snapshot to compare against.
 #
 # Benchmarks present in only one snapshot are listed as added/removed
 # and never gated.
@@ -34,7 +33,7 @@ for a in "$@"; do
     esac
 done
 if [ "${#args[@]}" -ne 2 ] || [ ! -r "${args[0]}" ] || [ ! -r "${args[1]}" ]; then
-    echo "usage: $0 [--gate] <old.json> <new.json>" >&2
+    echo "usage: $0 [--gate] <base.json> <head.json>" >&2
     exit 2
 fi
 old=${args[0]}

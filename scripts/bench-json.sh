@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # bench-json.sh — convert `go test -bench` text output into a JSON perf
-# snapshot, so CI can archive one BENCH_PR<n>.json per change and the
-# perf trajectory becomes diffable instead of buried in build logs.
+# snapshot, so two runs can be compared by bench-diff.sh instead of by
+# reading build logs. CI's bench-snapshot job converts one run of the
+# merge base and one of the head, both made on the same runner.
 #
 # Usage:
-#   go test -bench=. -benchtime=100x -run '^$' ./... | tee bench.out
-#   scripts/bench-json.sh bench.out > BENCH_PR5.json
+#   go test -bench=. -benchtime=100x -run '^$' ./... | tee head.out
+#   scripts/bench-json.sh head.out > head.json
 #
 # Output shape:
 #   {

@@ -6,8 +6,10 @@
 #      internal/, so renames and removals cannot silently strand the
 #      documentation;
 #   2. every relative markdown link in README.md and docs/*.md must
-#      point at an existing file, so docs pages cannot cross-reference
-#      a page that was moved or never written;
+#      point at an existing file, and so must every *.md path a Go
+#      comment cites (resolved from the repository root or from the
+#      citing file's directory), so neither a docs page nor the code
+#      can point a reader at a page that was moved or never written;
 #   3. every Prometheus series the code emits must be documented in
 #      docs/operations.md or docs/observability.md, so a new metric
 #      cannot ship without its reference entry, and every series those
@@ -39,8 +41,21 @@ for f in README.md docs/*.md; do
         fi
     done < <(grep -oE '\]\([^)]+\)' "$f" | sed -E 's/^\]\(//; s/\)$//')
 done
+# The text from a line's first "//" on is taken as its comment; a token
+# starting with "/" is the tail of a URL, not a repository path.
+ncited=0
+while IFS=: read -r f comment; do
+    while IFS= read -r md; do
+        case "$md" in /*) continue ;; esac
+        ncited=$((ncited + 1))
+        if [ ! -e "$md" ] && [ ! -e "$(dirname "$f")/$md" ]; then
+            echo "check-docs: $f cites missing file: $md" >&2
+            fail=1
+        fi
+    done < <(grep -oE '[A-Za-z0-9_./-]+\.md\b' <<< "$comment")
+done < <(grep -rHoE '//.*\.md\b.*' --include='*.go' --exclude-dir=.bench_build .)
 if [ "$fail" -eq 0 ]; then
-    echo "check-docs: all relative doc links resolve"
+    echo "check-docs: all relative doc links and $ncited *.md citation(s) in Go comments resolve"
 fi
 
 # --- API symbol citations ----------------------------------------------

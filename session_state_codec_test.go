@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"adasense/internal/nn"
+	"adasense/internal/rng"
 )
 
 // codecState builds a representative SessionState for codec tests: a
@@ -224,17 +227,54 @@ func TestDecodeSessionStateRejectsImplausibleLengths(t *testing.T) {
 	}
 }
 
-// TestSessionStateAllocs pins the ADSS encoder at zero allocations when
-// it appends into a buffer with room, as SnapshotInto's callers do.
+// TestSessionStateAllocs pins the ADSS hot paths at zero allocations:
+// the encoder appending into a buffer with room, as SnapshotInto's
+// callers do, a live session's snapshot into a reused state, and a
+// restore of that state into another session. An untrained network
+// serves: the paths do not depend on what it classifies.
 func TestSessionStateAllocs(t *testing.T) {
 	st := codecState()
 	dst := make([]byte, 0, st.EncodedLen())
+	svc, err := NewService(&System{Network: nn.New(15, 4, NumActivities, rng.New(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := svc.OpenSession("donor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := svc.OpenSession("target")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := NewSchedule([]Segment{{Activity: Sit, Duration: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := NewSampler(DefaultNoiseModel(), 72).Sample(NewMotion(sched, 71), donor.Config(), 0, 1.5)
+	if _, err := donor.Push(batch); err != nil {
+		t.Fatal(err)
+	}
+	var snap SessionState
+	if err := donor.SnapshotInto(&snap); err != nil { // size the reused slices
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"encode", func() {
 			if _, err := st.AppendBinary(dst[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"snapshot", func() {
+			if err := donor.SnapshotInto(&snap); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"restore", func() {
+			if err := target.Restore(&snap); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -180,6 +180,7 @@ func TestSessionRestoreRejects(t *testing.T) {
 		{"controller kind mismatch", func(st *adasense.SessionState) { st.Engine.CtlKind = "spot/0" }},
 		{"pending outside hop", func(st *adasense.SessionState) { st.Engine.Pending = -1 }},
 		{"ragged window", func(st *adasense.SessionState) { st.Engine.Y = st.Engine.Y[:len(st.Engine.Y)-1] }},
+		{"NaN window remainder", func(st *adasense.SessionState) { st.Engine.X[0] = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
