@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"math"
@@ -40,8 +41,17 @@ func sameFloats(a, b []float64) bool {
 // canonical body, so state left over from an earlier request is
 // exercised too. The committed corpus covers the canonical shape and
 // every kind of input the single-pass parser hands to json.Unmarshal.
+// A body that decodes then goes through pushDecoded, on a Service of an
+// untrained network.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(canonicalBody))
+	// Finite but far beyond any accelerometer: classified, these readings
+	// give a NaN confidence, so the push must refuse them.
+	f.Add([]byte(`{"config":"F100_A128","x":[1e300],"y":[-1e300],"z":[0]}`))
+	svc, err := adasense.NewService(degradedSystem(f))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var want batchJSON
 		wantErr := json.Unmarshal(body, &want)
@@ -62,7 +72,41 @@ func FuzzDecodeBatch(f *testing.F) {
 			!sameFloats(got.X, want.X) || !sameFloats(got.Y, want.Y) || !sameFloats(got.Z, want.Z) {
 			t.Fatalf("decode(%q) = %+v, json.Unmarshal = %+v", body, got, want)
 		}
+		pushDecoded(t, svc, &got)
 	})
+}
+
+// pushDecoded pushes bj's samples through a fresh session of svc, at the
+// session's configuration, until at least 400 samples went in (two
+// windows at 100 Hz). Every push must either fail with a *BatchError or
+// emit only finite confidences.
+func pushDecoded(t *testing.T, svc *adasense.Service, bj *batchJSON) {
+	t.Helper()
+	sess, err := svc.OpenSession("fuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	reps := 1
+	if n := len(bj.X); n > 0 && n < 400 {
+		reps = (400 + n - 1) / n
+	}
+	for i := 0; i < reps; i++ {
+		b := &adasense.Batch{Config: sess.Config(), StartAt: bj.StartAt, X: bj.X, Y: bj.Y, Z: bj.Z}
+		events, err := sess.Push(b)
+		var be *adasense.BatchError
+		if errors.As(err, &be) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("push of a decoded body: %v, want nil or a *BatchError", err)
+		}
+		for _, ev := range events {
+			if c := ev.Classification.Confidence; math.IsNaN(c) || math.IsInf(c, 0) {
+				t.Fatalf("push emitted confidence %v", c)
+			}
+		}
+	}
 }
 
 // TestParseBatchShapes pins which bodies take the single-pass parser

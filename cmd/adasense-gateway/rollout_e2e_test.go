@@ -42,7 +42,7 @@ func candidateBytes(t *testing.T, sys *adasense.System) []byte {
 // dimensions: it loads and serves fine, but classifies at chance
 // confidence (~1/NumActivities), which trips the rollout's confidence
 // gate against any trained incumbent.
-func degradedSystem(t *testing.T) *adasense.System {
+func degradedSystem(t testing.TB) *adasense.System {
 	t.Helper()
 	return &adasense.System{Network: nn.New(15, 4, adasense.NumActivities, rng.New(1))}
 }

@@ -577,8 +577,12 @@ func (gw *Gateway) NumSessions() int { return gw.reg.Len() }
 // Classify runs one stateless classification through the current model.
 // After a SwapModel it serves the new model immediately. Classify
 // carries no device identity, so rate limiting charges only the global
-// bucket.
+// bucket. A batch Batch.Validate refuses is refused before the bucket is
+// charged.
 func (gw *Gateway) Classify(b *Batch) (Classification, error) {
+	if err := b.Validate(); err != nil {
+		return Classification{}, err
+	}
 	if err := gw.allowGlobal(); err != nil {
 		return Classification{}, err
 	}

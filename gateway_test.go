@@ -579,6 +579,24 @@ func TestGatewayRefusedBatchSpendsNoToken(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusedClassifySpendsNoToken: Classify checks its batch
+// before it charges the global bucket, so a refused batch leaves the
+// token the next valid call needs.
+func TestGatewayRefusedClassifySpendsNoToken(t *testing.T) {
+	gw := testGateway(t, baselineFleet(),
+		adasense.WithRateLimit(adasense.RateLimit{GlobalPerSec: 0.001, GlobalBurst: 1}))
+	var be *adasense.BatchError
+	if _, err := gw.Classify(nanBatch(t)); !errors.As(err, &be) {
+		t.Fatalf("NaN classify = %v, want a *BatchError", err)
+	}
+	if _, err := gw.Classify(gatewayBatch(t)); err != nil {
+		t.Fatalf("valid classify after a refused one = %v, want nil", err)
+	}
+	if s := gw.Stats(); s.RateLimitedGlobal != 0 {
+		t.Fatalf("RateLimitedGlobal = %d, want 0", s.RateLimitedGlobal)
+	}
+}
+
 // TestGatewayRefusedBatchIsNoRolloutError: during an active rollout, a
 // refused batch leaves both arms' error counts where they were, while
 // a push the session itself fails (a batch at the wrong configuration)

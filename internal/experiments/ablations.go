@@ -30,37 +30,34 @@ type FeatureAblationResult struct {
 }
 
 // FeatureAblation trains a classifier per spectral-bin count over the four
-// Pareto configurations and reports held-out accuracy. windows sizes each
+// Pareto configurations and reports held-out accuracy. windows sizes the
 // corpus (0 selects 3600).
+//
+// The variants share one corpus, sampled once with six bins (1–6 Hz):
+// the k-bin variant trains and tests on its columns [mean, std,
+// bin1..bink] of each axis, which equal a k-bin extraction bit for bit
+// because every Goertzel bin is computed on its own. So the variants
+// differ only in the feature set; the 6-bin variant supplies the corpus.
 func (l *Lab) FeatureAblation(windows int) (FeatureAblationResult, error) {
 	if windows == 0 {
 		windows = 3600
 	}
+	const maxBins = 6
+	freqs := make([]float64, maxBins)
+	for i := range freqs {
+		freqs[i] = float64(i + 1)
+	}
 	var out FeatureAblationResult
-	for bins := 0; bins <= 6; bins++ {
-		freqs := make([]float64, bins)
-		for i := range freqs {
-			freqs[i] = float64(i + 1)
-		}
-		if bins == 0 {
-			freqs = []float64{} // stats-only feature set
-		}
-		sub := l.rngFor(uint64(100 + bins))
-		train, err := dataset.Generate(dataset.GenSpec{Windows: windows, BinFreqsHz: freqs}, sub.Split(1))
+	sc, err := l.newSharedCorpus(windows, features.MustExtractor(freqs), 100+maxBins)
+	if err != nil {
+		return out, err
+	}
+	for bins := 0; bins <= maxBins; bins++ {
+		_, acc, err := sc.evaluate(uint64(100+bins), binCols(bins, maxBins), 32, nn.TrainConfig{Epochs: 50})
 		if err != nil {
 			return out, err
 		}
-		test, err := dataset.Generate(dataset.GenSpec{Windows: windows / 2, BinFreqsHz: freqs}, sub.Split(2))
-		if err != nil {
-			return out, err
-		}
-		net := nn.New(train.FeatureSize, 32, synth.NumActivities, sub.Split(3))
-		X, Y := train.XY()
-		if _, err := nn.Train(net, X, Y, nn.TrainConfig{Epochs: 50}, sub.Split(4)); err != nil {
-			return out, err
-		}
-		tx, ty := test.XY()
-		out.Rows = append(out.Rows, FeatureAblationRow{Bins: bins, Accuracy: nn.Accuracy(net, tx, ty)})
+		out.Rows = append(out.Rows, FeatureAblationRow{Bins: bins, Accuracy: acc})
 	}
 	return out, nil
 }
@@ -159,31 +156,27 @@ type HiddenWidthResult struct {
 
 // HiddenWidthAblation trains classifiers of increasing hidden width on the
 // standard 4-configuration corpus and reports held-out accuracy and
-// float32 footprint. windows sizes each corpus (0 selects 3600).
+// float32 footprint. windows sizes the corpus (0 selects 3600). Every
+// width trains and tests on one shared corpus, which the 32-unit variant
+// supplies, so the widths differ only in the network.
 func (l *Lab) HiddenWidthAblation(windows int) (HiddenWidthResult, error) {
 	if windows == 0 {
 		windows = 3600
 	}
 	var out HiddenWidthResult
+	sc, err := l.newSharedCorpus(windows, features.MustExtractor(nil), 600+32)
+	if err != nil {
+		return out, err
+	}
 	for _, hidden := range []int{4, 8, 16, 32, 64} {
-		sub := l.rngFor(uint64(600 + hidden))
-		train, err := dataset.Generate(dataset.GenSpec{Windows: windows}, sub.Split(1))
+		net, acc, err := sc.evaluate(uint64(600+hidden), nil, hidden,
+			nn.TrainConfig{Epochs: 50, LabelSmoothing: 0.1})
 		if err != nil {
 			return out, err
 		}
-		test, err := dataset.Generate(dataset.GenSpec{Windows: windows / 2}, sub.Split(2))
-		if err != nil {
-			return out, err
-		}
-		net := nn.New(train.FeatureSize, hidden, synth.NumActivities, sub.Split(3))
-		X, Y := train.XY()
-		if _, err := nn.Train(net, X, Y, nn.TrainConfig{Epochs: 50, LabelSmoothing: 0.1}, sub.Split(4)); err != nil {
-			return out, err
-		}
-		tx, ty := test.XY()
 		out.Rows = append(out.Rows, HiddenWidthRow{
 			Hidden:   hidden,
-			Accuracy: nn.Accuracy(net, tx, ty),
+			Accuracy: acc,
 			Bytes:    net.WeightBytes(4),
 		})
 	}
@@ -326,52 +319,54 @@ type FeatureFamilyResult struct {
 }
 
 // FeatureFamilyAblation trains one classifier per feature family. windows
-// sizes each corpus (0 selects 3600).
+// sizes the corpus (0 selects 3600).
+//
+// One sampling pass extracts the Fourier-3 and wavelet-5 features side
+// by side (15 + 24 columns); each family trains and tests on its own
+// columns, and the statistical family is the mean and σ columns of the
+// Fourier part. So the families see the same windows and differ only in
+// their features; the wavelet-5 variant supplies the corpus.
 func (l *Lab) FeatureFamilyAblation(windows int) (FeatureFamilyResult, error) {
 	if windows == 0 {
 		windows = 3600
 	}
 	const batch200 = 200 // F100_A128, 2 s
+	fourier := features.MustExtractor(nil)
 	wavelet, err := features.NewWaveletExtractor(5)
 	if err != nil {
 		return FeatureFamilyResult{}, err
 	}
+	nf, nw := fourier.Size(), wavelet.Size()
 	// Per-window cost = feature extraction + inference on the family's
 	// feature width (a larger vector costs classifier cycles and bytes).
 	families := []struct {
 		name   string
-		ext    dataset.FeatureExtractor
+		cols   []int
 		cycles uint64
 	}{
-		{"statistical", features.MustExtractor([]float64{}),
+		{"statistical", binCols(0, 3),
 			mcu.FeatureExtractionCycles(batch200, 0) + mcu.InferenceCycles(6, 32, 6)},
-		{"fourier-3 (AdaSense)", features.MustExtractor(nil),
+		{"fourier-3 (AdaSense)", colRange(0, nf),
 			mcu.FeatureExtractionCycles(batch200, 3) + mcu.InferenceCycles(15, 32, 6)},
-		{"wavelet-5", wavelet,
+		{"wavelet-5", colRange(nf, nf+nw),
 			mcu.FeatureExtractionCycles(batch200, 0) + mcu.WaveletCycles(batch200, 5) +
 				mcu.InferenceCycles(24, 32, 6)},
 	}
 	var out FeatureFamilyResult
+	sc, err := l.newSharedCorpus(windows, concatExtractor{fourier, wavelet}, 700+2)
+	if err != nil {
+		return out, err
+	}
 	for i, fam := range families {
-		sub := l.rngFor(uint64(700 + i))
-		train, err := dataset.Generate(dataset.GenSpec{Windows: windows, Extractor: fam.ext}, sub.Split(1))
+		_, acc, err := sc.evaluate(uint64(700+i), fam.cols, 32,
+			nn.TrainConfig{Epochs: 50, LabelSmoothing: 0.1})
 		if err != nil {
 			return out, err
 		}
-		test, err := dataset.Generate(dataset.GenSpec{Windows: windows / 2, Extractor: fam.ext}, sub.Split(2))
-		if err != nil {
-			return out, err
-		}
-		net := nn.New(train.FeatureSize, 32, synth.NumActivities, sub.Split(3))
-		X, Y := train.XY()
-		if _, err := nn.Train(net, X, Y, nn.TrainConfig{Epochs: 50, LabelSmoothing: 0.1}, sub.Split(4)); err != nil {
-			return out, err
-		}
-		tx, ty := test.XY()
 		out.Rows = append(out.Rows, FeatureFamilyRow{
 			Name:         fam.name,
-			FeatureSize:  fam.ext.Size(),
-			Accuracy:     nn.Accuracy(net, tx, ty),
+			FeatureSize:  len(fam.cols),
+			Accuracy:     acc,
 			CyclesPerWin: fam.cycles,
 		})
 	}
@@ -388,4 +383,123 @@ func (f FeatureFamilyResult) Render() string {
 	}
 	b.WriteString("(Haar band energies are competitive on accuracy in our simulator even\n though subband edges move with the sampling rate; the Fourier set's\n advantage is its fixed physical meaning and the smaller feature vector\n — 15 vs 24 dims — which shrinks classifier memory and inference cost.)\n")
 	return b.String()
+}
+
+// sharedCorpus is the train and test corpus every variant of one
+// ablation trains and tests on. The variant tagged tag supplies it: its
+// stream (Lab.rngFor(tag)) draws the train corpus from Split(1), the test
+// corpus from Split(2) and its network from Split(3) and Split(4), so its
+// result equals what a corpus sampled for it alone gives. Every other
+// variant draws its network from Split(3) and Split(4) of its own fresh
+// stream.
+type sharedCorpus struct {
+	lab         *Lab
+	train, test *dataset.Corpus
+	tag         uint64
+	r           *rng.Source
+}
+
+// newSharedCorpus samples windows training and windows/2 test windows
+// with ext from the stream of the variant tagged tag.
+func (l *Lab) newSharedCorpus(windows int, ext dataset.FeatureExtractor, tag uint64) (*sharedCorpus, error) {
+	r := l.rngFor(tag)
+	train, err := dataset.Generate(dataset.GenSpec{Windows: windows, Extractor: ext}, r.Split(1))
+	if err != nil {
+		return nil, err
+	}
+	test, err := dataset.Generate(dataset.GenSpec{Windows: windows / 2, Extractor: ext}, r.Split(2))
+	if err != nil {
+		return nil, err
+	}
+	return &sharedCorpus{lab: l, train: train, test: test, tag: tag, r: r}, nil
+}
+
+// evaluate trains the variant tagged tag, once: a network with hidden
+// units on the train corpus's columns cols (all of them when cols is
+// nil). It returns the network and its accuracy on the same columns of
+// the test corpus.
+func (sc *sharedCorpus) evaluate(tag uint64, cols []int, hidden int, cfg nn.TrainConfig) (*nn.Network, float64, error) {
+	r := sc.r
+	if tag != sc.tag {
+		r = sc.lab.rngFor(tag)
+	}
+	X, Y := project(sc.train, cols)
+	net := nn.New(len(X[0]), hidden, synth.NumActivities, r.Split(3))
+	if _, err := nn.Train(net, X, Y, cfg, r.Split(4)); err != nil {
+		return nil, 0, err
+	}
+	tx, ty := project(sc.test, cols)
+	return net, nn.Accuracy(net, tx, ty), nil
+}
+
+// project returns c's feature vectors restricted to cols, in cols order
+// and copied into one backing array, with c's labels. A nil cols keeps
+// every column and copies nothing.
+func project(c *dataset.Corpus, cols []int) (X [][]float64, Y []int) {
+	X, Y = c.XY()
+	if cols == nil {
+		return X, Y
+	}
+	n := len(cols)
+	flat := make([]float64, len(X)*n)
+	for i, x := range X {
+		row := flat[i*n : (i+1)*n : (i+1)*n]
+		for j, col := range cols {
+			row[j] = x[col]
+		}
+		X[i] = row
+	}
+	return X, Y
+}
+
+// binCols returns the columns of a features.Extractor with binsIn bins
+// per axis that a k-bin extraction holds: each axis's mean, σ and first
+// k bins.
+func binCols(k, binsIn int) []int {
+	cols := make([]int, 0, 3*(2+k))
+	for ax := 0; ax < 3; ax++ {
+		for j := 0; j < 2+k; j++ {
+			cols = append(cols, ax*(2+binsIn)+j)
+		}
+	}
+	return cols
+}
+
+// colRange returns the columns lo..hi-1.
+func colRange(lo, hi int) []int {
+	cols := make([]int, 0, hi-lo)
+	for c := lo; c < hi; c++ {
+		cols = append(cols, c)
+	}
+	return cols
+}
+
+// concatExtractor lays its parts' feature vectors side by side, in
+// order.
+type concatExtractor []dataset.FeatureExtractor
+
+// Size returns the summed size of the parts.
+func (c concatExtractor) Size() int {
+	n := 0
+	for _, e := range c {
+		n += e.Size()
+	}
+	return n
+}
+
+// Extract fills dst (reused when large enough) with each part's
+// features of b.
+func (c concatExtractor) Extract(b *sensor.Batch, dst []float64) []float64 {
+	size := c.Size()
+	if cap(dst) < size {
+		dst = make([]float64, size)
+	}
+	dst = dst[:size]
+	off := 0
+	for _, e := range c {
+		n := e.Size()
+		e.Extract(b, dst[off:off+n:off+n])
+		off += n
+	}
+	return dst
 }

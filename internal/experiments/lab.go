@@ -15,6 +15,15 @@
 //	Overhead         — processing-overhead comparison
 //	FeatureAblation  — accuracy vs number of Fourier coefficients
 //	ConfidenceAblation, FixedPointAblation, FSM — design-choice ablations
+//	HiddenWidthAblation, FeatureFamilyAblation — classifier width and
+//	                   feature-family comparisons
+//
+// The ablations that compare feature sets or network widths
+// (FeatureAblation, HiddenWidthAblation, FeatureFamilyAblation) sample
+// one train and one test corpus each, with the widest feature set any
+// variant needs, and derive every variant from it: a feature variant
+// trains on a projection onto its columns. Variants thus differ only in
+// the factor under study, and the suite samples each corpus once.
 package experiments
 
 import (

@@ -64,6 +64,11 @@ func (r *Source) Uint64() uint64 {
 // Split returns a new Source whose stream is independent of the receiver's
 // subsequent output. label distinguishes sibling splits taken at the same
 // point of the parent stream.
+//
+// Split consumes one draw of the receiver, so the order of a Source's
+// Split calls fixes every stream derived from it: Split(3) taken after
+// Split(1) and Split(2) differs from Split(3) taken first. Code that
+// must keep a derived stream unchanged keeps the calls before it.
 func (r *Source) Split(label uint64) *Source {
 	mix := r.Uint64() ^ (label * 0xd1342543de82ef95)
 	return New(mix)

@@ -12,9 +12,9 @@
 # benchmark that was allocation-free in BASE must stay allocation-free
 # and within +25% ns/op in HEAD. Allocating benchmarks are reported but
 # never gated. The ns/op gate also requires the regression to be at
-# least 50ns absolute: snapshots come from -benchtime=100x runs, where
-# a tens-of-ns benchmark's total measured time is a few µs and clock
-# quantization alone can fake a >25% swing.
+# least 50ns absolute: each snapshot entry is the median of five 200 ms
+# runs, yet on a shared runner a tens-of-ns benchmark can still move by
+# more than 25% between the two sides with no code change.
 #
 # The hot paths that must never allocate are also pinned by the
 # `Test…Allocs` tests of their packages (docs/perf.md lists them), so

@@ -1,12 +1,21 @@
 #!/usr/bin/env bash
 # bench-json.sh — convert `go test -bench` text output into a JSON perf
 # snapshot, so two runs can be compared by bench-diff.sh instead of by
-# reading build logs. CI's bench-snapshot job converts one run of the
-# merge base and one of the head, both made on the same runner.
+# reading build logs. CI's bench-snapshot job benchmarks the merge base
+# and the head on the same runner, five 200 ms runs of each benchmark per
+# side in rounds that alternate the sides, and converts each side's
+# appended output.
 #
 # Usage:
-#   go test -bench=. -benchtime=100x -run '^$' ./... | tee head.out
+#   for round in 1 2 3 4 5; do
+#     go test -bench=. -benchtime=200ms -count=1 -run '^$' ./... | tee -a head.out
+#   done
 #   scripts/bench-json.sh head.out > head.json
+#
+# A benchmark that appears more than once (-count=N, or appended runs)
+# gets one entry: the run with the median ns/op (the lower middle one for
+# an even count), whose iterations, B/op, allocs/op and metrics come with
+# it. Entries keep the order of each benchmark's first line.
 #
 # Output shape:
 #   {
@@ -47,9 +56,24 @@ $1 ~ /^Benchmark/ && NF >= 4 {
     if (bytes != "")  line = line sprintf(", \"bytes_per_op\": %s", bytes)
     if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
     if (metrics != "") line = line ", \"metrics\": {" metrics "}"
-    bench[n++] = line "}"
+    key = pkg SUBSEP name
+    if (!(key in runs)) order[n++] = key
+    r = runs[key]++
+    nsof[key, r] = ns + 0
+    lineof[key, r] = line "}"
 }
 END {
+    for (i = 0; i < n; i++) {
+        key = order[i]
+        # Insertion sort of the runs by ns/op; keep the median one.
+        for (r = 0; r < runs[key]; r++) {
+            idx[r] = r
+            for (j = r; j > 0 && nsof[key, idx[j-1]] > nsof[key, idx[j]]; j--) {
+                t = idx[j]; idx[j] = idx[j-1]; idx[j-1] = t
+            }
+        }
+        bench[i] = lineof[key, idx[int((runs[key] - 1) / 2)]]
+    }
     if (n == 0) {
         print "bench-json: no benchmark lines found" > "/dev/stderr"
         exit 1
