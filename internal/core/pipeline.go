@@ -96,8 +96,9 @@ type Classification struct {
 }
 
 // Pipeline is the HAR framework of Fig. 1: feature extraction plus the
-// shared neural-network classifier. It is NOT safe for concurrent use
-// (the extractor owns scratch buffers); create one per goroutine.
+// shared neural-network classifier. It owns the feature, hidden-layer and
+// probability buffers a classification writes, so Classify allocates
+// nothing; it is NOT safe for concurrent use, create one per goroutine.
 type Pipeline struct {
 	ext *features.Extractor
 	net *nn.Network
@@ -108,8 +109,9 @@ type Pipeline struct {
 	// branch.
 	Stages func(extract, classify time.Duration)
 
-	feat  []float64
-	probs []float64
+	feat   []float64
+	hidden []float64
+	probs  []float64
 }
 
 // NewPipeline builds a pipeline from a trained network and a feature
@@ -119,10 +121,11 @@ func NewPipeline(net *nn.Network, ext *features.Extractor) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: extractor size %d != network input %d", ext.Size(), net.In)
 	}
 	return &Pipeline{
-		ext:   ext,
-		net:   net,
-		feat:  make([]float64, ext.Size()),
-		probs: make([]float64, net.Out),
+		ext:    ext,
+		net:    net,
+		feat:   make([]float64, ext.Size()),
+		hidden: make([]float64, net.Hidden),
+		probs:  make([]float64, net.Out),
 	}, nil
 }
 
@@ -143,7 +146,7 @@ func (p *Pipeline) Classify(b *sensor.Batch) Classification {
 	if timed {
 		clsStart = time.Now()
 	}
-	p.probs = p.net.Forward(p.feat, p.probs)
+	p.net.ForwardInto(p.feat, p.hidden, p.probs)
 	best := 0
 	for i, v := range p.probs {
 		if v > p.probs[best] {

@@ -162,3 +162,49 @@ func TestPipelineAccessors(t *testing.T) {
 		t.Fatal("accessors returned nil")
 	}
 }
+
+// sampledWindow returns a 2 s walking window at cfg.
+func sampledWindow(cfg sensor.Config) *sensor.Batch {
+	sched := synth.MustSchedule(synth.Segment{Activity: synth.Walk, Duration: 20})
+	m := synth.NewMotion(synth.DefaultModels(), sched, rng.New(1))
+	return sensor.NewSampler(sensor.DefaultNoiseModel(), rng.New(2)).Sample(m, cfg, 5, 7)
+}
+
+// labShapedPipeline returns a pipeline over an untrained network of the
+// lab classifier's shape: 15 features, 32 hidden units, 6 classes.
+func labShapedPipeline(t testing.TB) *Pipeline {
+	t.Helper()
+	p, err := NewPipeline(nn.New(15, 32, synth.NumActivities, rng.New(3)), features.MustExtractor(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPipelineAllocs pins one classification of a 200-sample window at
+// zero allocations.
+func TestPipelineAllocs(t *testing.T) {
+	p := labShapedPipeline(t)
+	b := sampledWindow(sensor.ParetoStates()[0])
+	if b.Len() != 200 {
+		t.Fatalf("window of %d samples, want 200", b.Len())
+	}
+	if got := testing.AllocsPerRun(100, func() { p.Classify(b) }); got != 0 {
+		t.Fatalf("%v allocs per classification, want 0", got)
+	}
+}
+
+// BenchmarkPipelineClassify times one classification, feature extraction
+// and forward pass, of a 2 s window at each Pareto state.
+func BenchmarkPipelineClassify(b *testing.B) {
+	p := labShapedPipeline(b)
+	for _, cfg := range sensor.ParetoStates() {
+		w := sampledWindow(cfg)
+		b.Run(cfg.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Classify(w)
+			}
+		})
+	}
+}

@@ -149,21 +149,6 @@ func TestGoertzelEmptyAndBadFs(t *testing.T) {
 	}
 }
 
-func TestGoertzelBinsReuse(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	buf := make([]float64, 3)
-	out := GoertzelBins(x, []float64{1, 2, 3}, 100, buf)
-	if &out[0] != &buf[0] {
-		t.Fatal("GoertzelBins did not reuse provided buffer")
-	}
-	out2 := GoertzelBins(x, []float64{1, 2, 3}, 100, nil)
-	for i := range out {
-		if out[i] != out2[i] {
-			t.Fatal("GoertzelBins buffer reuse changed results")
-		}
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 100: 128, 128: 128}
 	for in, want := range cases {

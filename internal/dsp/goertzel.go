@@ -17,33 +17,33 @@ func Goertzel(x []float64, freqHz, fsHz float64) float64 {
 	if n == 0 || fsHz <= 0 {
 		return 0
 	}
-	// Normalized angular frequency. The recursion is exact for any real
-	// omega, not only for integer bin centers.
-	omega := 2 * math.Pi * freqHz / fsHz
-	coeff := 2 * math.Cos(omega)
+	coeff := GoertzelCoeff(freqHz, fsHz)
 	var s0, s1, s2 float64
 	for _, v := range x {
 		s0 = v + coeff*s1 - s2
 		s2 = s1
 		s1 = s0
 	}
+	return GoertzelMagnitude(s1, s2, coeff, n)
+}
+
+// GoertzelCoeff returns the recursion coefficient 2·cos(ω) of the
+// normalized angular frequency ω = 2π·freqHz/fsHz. The recursion is exact
+// for any real ω, not only for integer bin centers.
+func GoertzelCoeff(freqHz, fsHz float64) float64 {
+	omega := 2 * math.Pi * freqHz / fsHz
+	return 2 * math.Cos(omega)
+}
+
+// GoertzelMagnitude returns the normalized magnitude of an n-sample
+// Goertzel recursion with coefficient coeff that ended in the states s1
+// (last output) and s2 (the one before). A kernel that runs several
+// recursions in one pass finishes each with it.
+func GoertzelMagnitude(s1, s2, coeff float64, n int) float64 {
 	// Power of the resonator state, then magnitude.
 	power := s1*s1 + s2*s2 - coeff*s1*s2
 	if power < 0 {
 		power = 0 // guard tiny negative rounding residue
 	}
 	return math.Sqrt(power) / float64(n)
-}
-
-// GoertzelBins evaluates Goertzel at each frequency in freqsHz and returns
-// the magnitudes. dst, if non-nil and long enough, is reused.
-func GoertzelBins(x []float64, freqsHz []float64, fsHz float64, dst []float64) []float64 {
-	if cap(dst) < len(freqsHz) {
-		dst = make([]float64, len(freqsHz))
-	}
-	dst = dst[:len(freqsHz)]
-	for i, f := range freqsHz {
-		dst[i] = Goertzel(x, f, fsHz)
-	}
-	return dst
 }

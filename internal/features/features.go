@@ -21,6 +21,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 
 	"adasense/internal/dsp"
 	"adasense/internal/sensor"
@@ -30,13 +31,10 @@ import (
 // to 3 Hz at 1 Hz spacing.
 func DefaultBinFreqsHz() []float64 { return []float64{1, 2, 3} }
 
-// Extractor computes feature vectors from sensor batches. An Extractor
-// owns scratch buffers and is NOT safe for concurrent use; create one per
-// goroutine.
+// Extractor computes feature vectors from sensor batches. It holds only
+// its bin frequencies, so one Extractor is safe for concurrent use.
 type Extractor struct {
 	binFreqs []float64
-	scratch  []float64
-	bins     []float64
 }
 
 // NewExtractor returns an extractor using the given spectral bin
@@ -51,10 +49,7 @@ func NewExtractor(binFreqsHz []float64) (*Extractor, error) {
 			return nil, fmt.Errorf("features: non-positive bin frequency %v", f)
 		}
 	}
-	return &Extractor{
-		binFreqs: append([]float64(nil), binFreqsHz...),
-		bins:     make([]float64, len(binFreqsHz)),
-	}, nil
+	return &Extractor{binFreqs: append([]float64(nil), binFreqsHz...)}, nil
 }
 
 // MustExtractor is NewExtractor that panics on error.
@@ -75,31 +70,106 @@ func (e *Extractor) BinFreqsHz() []float64 { return append([]float64(nil), e.bin
 // Extract computes the feature vector of batch b into dst (reused when
 // large enough) and returns it. Each axis contributes mean, standard
 // deviation and then one magnitude per bin in BinFreqsHz order; x comes
-// first, then y, then z.
+// first, then y, then z. The three axes must have equal length, as
+// sensor.Batch.Validate requires; an empty batch gives all zeros.
+//
+// The features are those of detrending each axis (dsp.Detrend), then
+// taking dsp.StdDev and one dsp.Goertzel per bin of the detrended copy,
+// bit for bit. Extract keeps no copy: one pass sums the three axes, one
+// sums their detrended values and one their squared deviations, each
+// axis in sample order, and the spectral passes run three bins at a
+// time, recomputing each detrended value x[i]−mean with the very
+// subtraction dsp.Detrend would store. Every sum thus adds the same
+// operands in the same order as the one-axis, one-bin loops.
 func (e *Extractor) Extract(b *sensor.Batch, dst []float64) []float64 {
 	size := e.Size()
 	if cap(dst) < size {
 		dst = make([]float64, size)
 	}
 	dst = dst[:size]
-	perAxis := 2 + len(e.binFreqs)
-	for ax := 0; ax < 3; ax++ {
-		samples := b.Axis(ax)
-		if cap(e.scratch) < len(samples) {
-			e.scratch = make([]float64, len(samples))
-		}
-		e.scratch = e.scratch[:len(samples)]
-		copy(e.scratch, samples)
+	n := len(b.X)
+	if len(b.Y) != n || len(b.Z) != n {
+		panic(fmt.Sprintf("features: ragged batch %d/%d/%d", n, len(b.Y), len(b.Z)))
+	}
+	if n == 0 {
+		clear(dst)
+		return dst
+	}
+	xs, ys, zs := b.X, b.Y[:n], b.Z[:n] // lengths the compiler can see: no bounds checks below
+	fn := float64(n)
 
-		base := ax * perAxis
-		// Detrend before spectral estimation so the gravity offset does
-		// not leak into the low-frequency bins; the removed mean IS the
-		// first feature.
-		mean := dsp.Detrend(e.scratch)
-		dst[base] = mean
-		dst[base+1] = dsp.StdDev(e.scratch)
-		e.bins = dsp.GoertzelBins(e.scratch, e.binFreqs, b.Config.FreqHz, e.bins)
-		copy(dst[base+2:base+2+len(e.bins)], e.bins)
+	// Detrend before spectral estimation so the gravity offset does not
+	// leak into the low-frequency bins; the removed mean IS the first
+	// feature.
+	var sx, sy, sz float64
+	for i, x := range xs {
+		sx += x
+		sy += ys[i]
+		sz += zs[i]
+	}
+	mx, my, mz := sx/fn, sy/fn, sz/fn
+	// The detrended values' own mean, which dsp.Variance subtracts.
+	var dx, dy, dz float64
+	for i, x := range xs {
+		dx += x - mx
+		dy += ys[i] - my
+		dz += zs[i] - mz
+	}
+	cx, cy, cz := dx/fn, dy/fn, dz/fn
+	var vx, vy, vz float64
+	for i, x := range xs {
+		ex := x - mx - cx
+		ey := ys[i] - my - cy
+		ez := zs[i] - mz - cz
+		vx += ex * ex
+		vy += ey * ey
+		vz += ez * ez
+	}
+	perAxis := 2 + len(e.binFreqs)
+	dst[0], dst[1] = mx, math.Sqrt(vx/fn)
+	dst[perAxis], dst[perAxis+1] = my, math.Sqrt(vy/fn)
+	dst[2*perAxis], dst[2*perAxis+1] = mz, math.Sqrt(vz/fn)
+
+	fs := b.Config.FreqHz
+	if fs <= 0 { // dsp.Goertzel's guard: no spectrum without a rate
+		for ax := 0; ax < 3; ax++ {
+			clear(dst[ax*perAxis+2 : (ax+1)*perAxis])
+		}
+		return dst
+	}
+	axes := [3][]float64{xs, ys, zs}
+	means := [3]float64{mx, my, mz}
+	k := 0
+	for ; k+2 < len(e.binFreqs); k += 3 {
+		c0 := dsp.GoertzelCoeff(e.binFreqs[k], fs)
+		c1 := dsp.GoertzelCoeff(e.binFreqs[k+1], fs)
+		c2 := dsp.GoertzelCoeff(e.binFreqs[k+2], fs)
+		for ax, samples := range axes {
+			m := means[ax]
+			var a1, a2, b1, b2, d1, d2 float64
+			for _, x := range samples {
+				v := x - m
+				a1, a2 = v+c0*a1-a2, a1
+				b1, b2 = v+c1*b1-b2, b1
+				d1, d2 = v+c2*d1-d2, d1
+			}
+			base := ax*perAxis + 2 + k
+			dst[base] = dsp.GoertzelMagnitude(a1, a2, c0, n)
+			dst[base+1] = dsp.GoertzelMagnitude(b1, b2, c1, n)
+			dst[base+2] = dsp.GoertzelMagnitude(d1, d2, c2, n)
+		}
+	}
+	for ; k < len(e.binFreqs); k++ {
+		c := dsp.GoertzelCoeff(e.binFreqs[k], fs)
+		for ax, samples := range axes {
+			m := means[ax]
+			var s1, s2 float64
+			for _, x := range samples {
+				v := x - m
+				s1, s2 = v+c*s1-s2, s1
+			}
+			dst[ax*perAxis+2+k] = dsp.GoertzelMagnitude(s1, s2, c, n)
+		}
 	}
 	return dst
 }

@@ -72,30 +72,51 @@ func (n *Network) WeightBytes(bytesPerParam int) int {
 	return (n.NumParams() + len(n.MeanIn) + len(n.StdIn)) * bytesPerParam
 }
 
-// forwardInto computes hidden activations and output probabilities for
-// input x. hidden and probs must have lengths Hidden and Out.
-func (n *Network) forwardInto(x, hidden, probs []float64) {
-	for h := 0; h < n.Hidden; h++ {
-		sum := n.B1[h]
-		row := n.W1[h*n.In : (h+1)*n.In]
-		for i, w := range row {
-			sum += w * (x[i] - n.MeanIn[i]) / n.StdIn[i]
-		}
-		if sum < 0 {
-			sum = 0
-		}
-		hidden[h] = sum
+// ForwardInto computes the hidden activations and output probabilities
+// for input x into hidden and probs, which must have lengths Hidden and
+// Out; it allocates nothing. len(x) must equal In.
+//
+// Each hidden sum starts from its bias and adds w·(x[i]−MeanIn[i])/StdIn[i]
+// in input order, the ReLU clamps only sums below zero (−0 and NaN pass
+// unchanged), and the logits are affine's, so the result is that of the
+// one-unit-at-a-time loop, bit for bit. Four hidden rows share each pass
+// over the input so their independent sums overlap in the pipeline.
+func (n *Network) ForwardInto(x, hidden, probs []float64) {
+	if len(x) != n.In || len(hidden) != n.Hidden || len(probs) != n.Out {
+		panic(fmt.Sprintf("nn: forward sizes %d/%d/%d, want %d/%d/%d",
+			len(x), len(hidden), len(probs), n.In, n.Hidden, n.Out))
 	}
-	maxLogit := math.Inf(-1)
-	for o := 0; o < n.Out; o++ {
-		sum := n.B2[o]
-		row := n.W2[o*n.Hidden : (o+1)*n.Hidden]
-		for h, w := range row {
-			sum += w * hidden[h]
+	in := n.In
+	mean, std := n.MeanIn[:in], n.StdIn[:in] // lengths the compiler can see: no bounds checks below
+	h := 0
+	for ; h+3 < n.Hidden; h += 4 {
+		r0 := n.W1[h*in : (h+1)*in]
+		r1 := n.W1[(h+1)*in : (h+2)*in]
+		r2 := n.W1[(h+2)*in : (h+3)*in]
+		r3 := n.W1[(h+3)*in : (h+4)*in]
+		r0, r1, r2, r3 = r0[:in], r1[:in], r2[:in], r3[:in]
+		s0, s1, s2, s3 := n.B1[h], n.B1[h+1], n.B1[h+2], n.B1[h+3]
+		for i, v := range x {
+			d, sd := v-mean[i], std[i]
+			s0 += r0[i] * d / sd
+			s1 += r1[i] * d / sd
+			s2 += r2[i] * d / sd
+			s3 += r3[i] * d / sd
 		}
-		probs[o] = sum
-		if sum > maxLogit {
-			maxLogit = sum
+		hidden[h], hidden[h+1], hidden[h+2], hidden[h+3] = relu(s0), relu(s1), relu(s2), relu(s3)
+	}
+	for ; h < n.Hidden; h++ {
+		s := n.B1[h]
+		for i, w := range n.W1[h*in : (h+1)*in] {
+			s += w * (x[i] - mean[i]) / std[i]
+		}
+		hidden[h] = relu(s)
+	}
+	affine(n.W2, n.B2, hidden, probs)
+	maxLogit := math.Inf(-1)
+	for _, l := range probs {
+		if l > maxLogit {
+			maxLogit = l
 		}
 	}
 	var z float64
@@ -109,17 +130,14 @@ func (n *Network) forwardInto(x, hidden, probs []float64) {
 }
 
 // Forward returns the class probability vector for input x, writing into
-// probs when it has capacity Out. len(x) must equal In.
+// probs when it has capacity Out. len(x) must equal In. It allocates the
+// hidden activations; ForwardInto takes them from the caller.
 func (n *Network) Forward(x, probs []float64) []float64 {
-	if len(x) != n.In {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), n.In))
-	}
 	if cap(probs) < n.Out {
 		probs = make([]float64, n.Out)
 	}
 	probs = probs[:n.Out]
-	hidden := make([]float64, n.Hidden)
-	n.forwardInto(x, hidden, probs)
+	n.ForwardInto(x, make([]float64, n.Hidden), probs)
 	return probs
 }
 

@@ -218,7 +218,7 @@ func TestTrainMatchesReferenceDeadUnits(t *testing.T) {
 	hidden := make([]float64, net.Hidden)
 	probs := make([]float64, net.Out)
 	for _, x := range X {
-		net.forwardInto(x, hidden, probs)
+		net.ForwardInto(x, hidden, probs)
 		for _, h := range dead {
 			if hidden[h] != 0 {
 				t.Fatalf("unit %d is live after training (activation %v)", h, hidden[h])
@@ -255,5 +255,143 @@ func TestReLUBits(t *testing.T) {
 		if got := relu(c.in); math.Float64bits(got) != math.Float64bits(c.want) {
 			t.Errorf("relu(%v) bits = %#x, want %#x", c.in, math.Float64bits(got), math.Float64bits(c.want))
 		}
+	}
+}
+
+// forwardReference is ForwardInto written the plain way: one hidden unit
+// and then one logit at a time, with a branching ReLU. ForwardInto must
+// match it bit for bit.
+func forwardReference(n *Network, x, hidden, probs []float64) {
+	for h := 0; h < n.Hidden; h++ {
+		sum := n.B1[h]
+		row := n.W1[h*n.In : (h+1)*n.In]
+		for i, w := range row {
+			sum += w * (x[i] - n.MeanIn[i]) / n.StdIn[i]
+		}
+		if sum < 0 {
+			sum = 0
+		}
+		hidden[h] = sum
+	}
+	maxLogit := math.Inf(-1)
+	for o := 0; o < n.Out; o++ {
+		sum := n.B2[o]
+		row := n.W2[o*n.Hidden : (o+1)*n.Hidden]
+		for h, w := range row {
+			sum += w * hidden[h]
+		}
+		probs[o] = sum
+		if sum > maxLogit {
+			maxLogit = sum
+		}
+	}
+	var z float64
+	for o := range probs {
+		probs[o] = math.Exp(probs[o] - maxLogit)
+		z += probs[o]
+	}
+	for o := range probs {
+		probs[o] /= z
+	}
+}
+
+// checkForwardMatches runs x through ForwardInto and the reference and
+// requires the hidden activations and probabilities to match bit for bit.
+func checkForwardMatches(t *testing.T, net *Network, x []float64) {
+	t.Helper()
+	hidden, probs := make([]float64, net.Hidden), make([]float64, net.Out)
+	wantHidden, wantProbs := make([]float64, net.Hidden), make([]float64, net.Out)
+	net.ForwardInto(x, hidden, probs)
+	forwardReference(net, x, wantHidden, wantProbs)
+	shape := fmt.Sprintf("%d-%d-%d", net.In, net.Hidden, net.Out)
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{{"hidden", hidden, wantHidden}, {"probs", probs, wantProbs}} {
+		if i, ok := sameBits(c.got, c.want); !ok {
+			t.Fatalf("%s: %s[%d] = %v (%#x), reference %v (%#x)", shape, c.name, i,
+				c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
+		}
+	}
+}
+
+// randomNetwork returns a network of the given shape with random weights,
+// biases and standardization.
+func randomNetwork(r *rng.Source, in, hidden, out int) *Network {
+	net := New(in, hidden, out, r)
+	for i := range net.B1 {
+		net.B1[i] = r.NormSigma(0, 0.5)
+	}
+	for i := range net.B2 {
+		net.B2[i] = r.NormSigma(0, 0.5)
+	}
+	for i := range net.MeanIn {
+		net.MeanIn[i] = r.NormSigma(0, 5)
+		net.StdIn[i] = r.Uniform(0.1, 10)
+	}
+	return net
+}
+
+func TestForwardMatchesReference(t *testing.T) {
+	skipOffAMD64(t)
+	r := rng.New(21)
+	for trial := 0; trial < 300; trial++ {
+		net := randomNetwork(r, 1+r.Intn(24), 1+r.Intn(40), 1+r.Intn(7))
+		x := make([]float64, net.In)
+		for i := range x {
+			x[i] = net.MeanIn[i] + r.NormSigma(0, 3*net.StdIn[i])
+		}
+		checkForwardMatches(t, net, x)
+	}
+}
+
+// TestForwardMatchesReferenceSpecialValues covers the values whose bits a
+// careless ReLU or sum order would change: hidden sums of −0, which pass
+// the ReLU as −0, and NaN, from an input or from one unit's weight.
+func TestForwardMatchesReferenceSpecialValues(t *testing.T) {
+	skipOffAMD64(t)
+	negZero := math.Copysign(0, -1)
+	r := rng.New(22)
+	for _, hidden := range []int{1, 3, 4, 7, 32} {
+		net := randomNetwork(r, 15, hidden, 6)
+		// Units 0 and 2 see only zero weights from a −0 bias: with a −0
+		// input every term is −0, so their sums are −0.
+		for _, h := range []int{0, 2} {
+			if h < hidden {
+				net.B1[h] = negZero
+				clear(net.W1[h*net.In : (h+1)*net.In])
+			}
+		}
+		clear(net.MeanIn)
+		x := make([]float64, net.In)
+		for i := range x {
+			x[i] = negZero
+		}
+		checkForwardMatches(t, net, x)
+		h, probs := make([]float64, hidden), make([]float64, 6)
+		if net.ForwardInto(x, h, probs); math.Float64bits(h[0]) != math.Float64bits(negZero) {
+			t.Fatalf("unit 0 = %v, want −0", h[0])
+		}
+
+		x[3] = math.NaN()
+		checkForwardMatches(t, net, x)
+
+		x[3] = 1
+		net.W1[(hidden-1)*net.In+5] = math.NaN()
+		checkForwardMatches(t, net, x)
+	}
+}
+
+func TestForwardIntoPanicsOnSizeMismatch(t *testing.T) {
+	net := New(3, 5, 2, rng.New(1))
+	for _, sizes := range [][3]int{{2, 5, 2}, {3, 4, 2}, {3, 5, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("sizes %v accepted", sizes)
+				}
+			}()
+			net.ForwardInto(make([]float64, sizes[0]), make([]float64, sizes[1]), make([]float64, sizes[2]))
+		}()
 	}
 }

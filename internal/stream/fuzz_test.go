@@ -3,7 +3,13 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
+
+	"adasense"
+	"adasense/internal/nn"
+	"adasense/internal/rng"
 )
 
 // FuzzFrameDecode drives hostile bytes through both frame decoders and
@@ -15,7 +21,10 @@ import (
 //   - the streaming Reader agrees with the slice decoder on the first
 //     frame;
 //   - a hostile length prefix never drives the Reader's buffer past
-//     MaxFramePayload + TrailerLen (the no-over-allocation bound).
+//     MaxFramePayload + TrailerLen (the no-over-allocation bound);
+//   - a batch payload that decodes goes through a session of a Service
+//     of an untrained network, and every push either fails with a
+//     *BatchError or emits only finite confidences.
 //
 // The committed seed corpus in testdata/fuzz/FuzzFrameDecode covers the
 // interesting boundaries: a valid round-trip frame, a truncated header,
@@ -34,7 +43,15 @@ func FuzzFrameDecode(f *testing.F) {
 	unknown := AppendFrame(nil, FrameGoodbye, AppendGoodbye(nil, Goodbye{Code: CodeOK}))
 	unknown[5] = 0x7F // unknown frame type
 	f.Add(unknown)
+	// Finite but far beyond any accelerometer: classified, these readings
+	// give a NaN confidence, so the push must refuse them.
+	huge := BatchMsg{Seq: 2, Config: testCfg, X: []float64{1e300}, Y: []float64{-1e300}, Z: []float64{0}}
+	f.Add(AppendFrame(nil, FrameBatch, AppendBatch(nil, &huge)))
 
+	svc, err := adasense.NewService(&adasense.System{Network: nn.New(15, 4, adasense.NumActivities, rng.New(1))})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, rest, err := DecodeFrame(data)
 
@@ -80,6 +97,7 @@ func FuzzFrameDecode(f *testing.F) {
 				if !bytes.Equal(AppendBatch(nil, &m), fr.Payload) {
 					t.Fatal("batch re-encode mismatch")
 				}
+				pushDecoded(t, svc, &m)
 			}
 		case FrameEvents:
 			var m EventsMsg
@@ -114,4 +132,37 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pushDecoded pushes m's samples through a fresh session of svc, at the
+// session's configuration, until at least 400 samples went in (two
+// windows at 100 Hz). Every push must either fail with a *BatchError or
+// emit only finite confidences.
+func pushDecoded(t *testing.T, svc *adasense.Service, m *BatchMsg) {
+	t.Helper()
+	sess, err := svc.OpenSession("fuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	reps := 1
+	if n := len(m.X); n > 0 && n < 400 {
+		reps = (400 + n - 1) / n
+	}
+	for i := 0; i < reps; i++ {
+		b := &adasense.Batch{Config: sess.Config(), StartAt: m.StartAt, X: m.X, Y: m.Y, Z: m.Z}
+		events, err := sess.Push(b)
+		var be *adasense.BatchError
+		if errors.As(err, &be) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("push of a decoded batch: %v, want nil or a *BatchError", err)
+		}
+		for _, ev := range events {
+			if c := ev.Classification.Confidence; math.IsNaN(c) || math.IsInf(c, 0) {
+				t.Fatalf("push emitted confidence %v", c)
+			}
+		}
+	}
 }
