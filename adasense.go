@@ -68,6 +68,7 @@
 //	sess, _ := svc.OpenSession("device-42")
 //	defer sess.Close()
 //	events, _ := sess.Push(batch) // raw readings at sess.Config()
+//	events, _ = sess.PushAppend(events[:0], batch) // reuses the slice: no allocation
 //
 // See examples/ for complete programs and internal/experiments for the
 // paper's tables and figures.

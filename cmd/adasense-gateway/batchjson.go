@@ -34,19 +34,21 @@ type batchScratch struct {
 	body    bytes.Buffer
 	bj      batchJSON
 	batch   adasense.Batch
-	x, y, z []float64 // sample storage the parser reuses
-	config  string    // last config name parsed, reused while it repeats
-	out     []byte    // reply encoding
+	x, y, z []float64        // sample storage the parser reuses
+	config  string           // last config name parsed, reused while it repeats
+	events  []adasense.Event // the push's events
+	out     []byte           // reply encoding
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // getBatchScratch takes a scratch from the pool. Its buffers back the
-// batch handed to GatewaySession.Push or Gateway.Classify and the reply
-// written after it, so the handler must putBatchScratch only once the
-// synchronous call has returned and the reply is written: neither
-// retains the batch's sample slices past the call, and a
-// ResponseWriter does not retain what it is given to Write.
+// batch handed to GatewaySession.PushAppend or Gateway.Classify, the
+// events PushAppend appends and the reply written after them, so the
+// handler must putBatchScratch only once the synchronous call has
+// returned and the reply is written: neither call retains the batch's
+// sample slices past the call, and a ResponseWriter does not retain
+// what it is given to Write.
 func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
 
 func putBatchScratch(sc *batchScratch) {

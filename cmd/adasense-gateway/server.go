@@ -433,12 +433,13 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endSpan := reqtrace.FromContext(r.Context()).Span("push")
-	events, err := sess.Push(batch)
+	events, err := sess.PushAppend(sc.events[:0], batch)
 	endSpan()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	sc.events = events
 	cfg := sess.Config()
 	out, ok := appendPushReply(sc.out[:0], events, cfg)
 	if !ok {

@@ -223,16 +223,16 @@ func (ss *streamServer) serve(c *streamConn) {
 		stream.Welcome{Config: lastCfg, ModelGen: gw.ModelGeneration(), Resumed: resumed})
 
 	// Session loop state, all reused across pushes: the batch and batch
-	// wrapper decode in place, the ack encodes in place, and the push
-	// closure is minted once — the steady-state push path allocates
-	// nothing on this side of the feature pipeline.
+	// wrapper decode in place, the session appends events into pushed,
+	// the ack encodes in place, and the push closure is minted once —
+	// the steady-state push path allocates nothing.
 	task := stream.NewTask()
 	var batch stream.BatchMsg
 	var ack stream.EventsMsg
 	var ab adasense.Batch
 	var pushed []adasense.Event
 	var pushErr error
-	push := func() { pushed, pushErr = sess.Push(&ab) }
+	push := func() { pushed, pushErr = sess.PushAppend(pushed[:0], &ab) }
 
 	for {
 		f, err := rd.Next()

@@ -580,13 +580,23 @@ func (gw *Gateway) NumSessions() int { return gw.reg.Len() }
 // bucket. A batch Batch.Validate refuses is refused before the bucket is
 // charged.
 func (gw *Gateway) Classify(b *Batch) (Classification, error) {
-	if err := b.Validate(); err != nil {
+	if err := gw.checkBatch(b); err != nil {
 		return Classification{}, err
 	}
 	if err := gw.allowGlobal(); err != nil {
 		return Classification{}, err
 	}
-	return gw.cur.Load().Classify(b)
+	return gw.cur.Load().classifyChecked(b)
+}
+
+// checkBatch is the gateway's one batch check, made before any token is
+// spent: it runs Batch.Validate and counts a refusal.
+func (gw *Gateway) checkBatch(b *Batch) error {
+	err := b.Validate()
+	if err != nil {
+		gw.tel.BatchesRefused.Add(1)
+	}
+	return err
 }
 
 // Drain gracefully shuts the gateway down: it stops accepting opens
@@ -689,6 +699,7 @@ func (gw *Gateway) WriteMetrics(w io.Writer) error {
 	e.Counter("adasense_sessions_closed_total", "Sessions closed by their owner (Close/CloseSession/Drain).", s.SessionsClosed)
 	e.Counter("adasense_sessions_evicted_total", "Sessions reclaimed by the idle-TTL sweep.", s.SessionsEvicted)
 	e.Counter("adasense_batches_pushed_total", "Batches accepted by sessions.", s.BatchesPushed)
+	e.Counter("adasense_batches_refused_total", "Batches refused by the batch check (empty, ragged, non-finite or out-of-range readings).", s.BatchesRefused)
 	e.Counter("adasense_events_emitted_total", "Classification events completed by pushes.", s.EventsEmitted)
 	e.Counter("adasense_classify_calls_total", "One-shot stateless classifications.", s.ClassifyCalls)
 	e.Counter("adasense_pool_hits_total", "Pipeline checkouts served from the pool.", s.PoolHits)
@@ -785,28 +796,35 @@ func (s *GatewaySession) Energy() EnergyEstimate {
 }
 
 // Push feeds a batch of raw readings and returns the classification
-// events it completed, refreshing the session's idle timer. It returns
-// ErrSessionClosed after Close or eviction, a *BatchError for a batch
-// that fails Batch.Validate, and ErrRateLimited when the device is over
-// its token budget (the batch is not applied — the device should back
-// off and resample, not retry the same window). A refused batch is
-// checked before the rate limit, so it spends no token and does not
-// count as an error against the device's rollout arm.
-func (s *GatewaySession) Push(b *Batch) ([]Event, error) {
+// events it completed in a fresh slice, refreshing the session's idle
+// timer. It returns ErrSessionClosed after Close or eviction, a
+// *BatchError for a batch that fails Batch.Validate, and ErrRateLimited
+// when the device is over its token budget (the batch is not applied —
+// the device should back off and resample, not retry the same window).
+// A refused batch is checked before the rate limit, so it spends no
+// token and does not count as an error against the device's rollout
+// arm.
+func (s *GatewaySession) Push(b *Batch) ([]Event, error) { return s.PushAppend(nil, b) }
+
+// PushAppend is Push appending the completed events to dst, which it
+// returns extended (dst itself on error). The batch is checked once, and
+// a caller that reuses dst across pushes allocates nothing per push.
+func (s *GatewaySession) PushAppend(dst []Event, b *Batch) ([]Event, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrSessionClosed, s.id)
+		return dst, fmt.Errorf("%w: %q", ErrSessionClosed, s.id)
 	}
-	if err := b.Validate(); err != nil {
+	if err := s.gw.checkBatch(b); err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return dst, err
 	}
 	if err := s.gw.allow(s.id); err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return dst, err
 	}
-	events, err := s.sess.Push(b)
+	n := len(dst)
+	dst, err := s.sess.pushChecked(dst, b)
 	// Snapshot the pinned service before unlocking so rollout health is
 	// attributed to the arm that actually served this push, then feed
 	// the rollout outside the session lock: evaluation may win a stage
@@ -815,12 +833,12 @@ func (s *GatewaySession) Push(b *Batch) ([]Event, error) {
 	s.mu.Unlock()
 	if err != nil {
 		s.gw.rolloutObserveError(svc)
-		return nil, err
+		return dst, err
 	}
 	s.gw.reg.Touch(s.id)
-	s.gw.rolloutObserve(svc, events)
+	s.gw.rolloutObserve(svc, dst[n:])
 	s.gw.rolloutMaybeTick()
-	return events, nil
+	return dst, nil
 }
 
 // Reset returns the session's engine and controller to their initial

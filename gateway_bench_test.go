@@ -97,6 +97,47 @@ func TestGatewayAllocs(t *testing.T) {
 	}
 }
 
+// TestPushAppendAllocs pins a push that completes a classification tick
+// at zero allocations when the caller reuses its events buffer: through
+// a GatewaySession (batch check, rate limit, engine, rollout hooks) and
+// through a bare Session.
+func TestPushAppendAllocs(t *testing.T) {
+	gw := testGateway(t, baselineFleet())
+	gs, err := gw.Open("alloc-dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := testService(t, adasense.WithControllerFactory(func() adasense.Controller {
+		return adasense.NewBaselineController()
+	})).OpenSession("alloc-dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := gatewayBatch(t) // one hop at the top configuration: one tick per push
+	var events []adasense.Event
+	cases := []struct {
+		name string
+		push func(dst []adasense.Event, b *adasense.Batch) ([]adasense.Event, error)
+	}{
+		{"gateway session", gs.PushAppend},
+		{"session", sess.PushAppend},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			push := func() {
+				events, err = tc.push(events[:0], b)
+				if err != nil || len(events) != 1 {
+					t.Fatalf("push = %d events, %v; want one tick", len(events), err)
+				}
+			}
+			push() // size the events buffer
+			if got := testing.AllocsPerRun(100, push); got != 0 {
+				t.Fatalf("%v allocs per push, want 0", got)
+			}
+		})
+	}
+}
+
 func benchCluster(b *testing.B) *adasense.Cluster {
 	b.Helper()
 	c, err := adasense.NewCluster(benchGateway(b), "gw-self", fleetReplicas())

@@ -450,7 +450,7 @@ func TestServingStatsJSONKeys(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"auth_rejects", "batches_pushed", "classify_calls", "draining",
+		"auth_rejects", "batches_pushed", "batches_refused", "classify_calls", "draining",
 		"events_emitted", "handoffs_cold", "handoffs_stateful", "latency",
 		"model_catchups", "model_generation", "model_swaps", "peer_errors",
 		"pool_hit_rate", "pool_hits", "pool_misses", "rate_limited_device",
@@ -576,6 +576,52 @@ func TestGatewayRefusedBatchSpendsNoToken(t *testing.T) {
 	}
 	if s := gw.Stats(); s.RateLimitedDevice != 0 {
 		t.Fatalf("RateLimitedDevice = %d, want 0", s.RateLimitedDevice)
+	}
+}
+
+// TestGatewayCountsRefusedBatches: each batch the gateway's batch check
+// refuses, pushed or classified, counts once in BatchesRefused (the
+// adasense_batches_refused_total series) and never as pushed; a valid
+// push, a wrong-config push and a bare Session's refusal leave it alone.
+func TestGatewayCountsRefusedBatches(t *testing.T) {
+	gw := testGateway(t, baselineFleet())
+	sess, err := gw.Open("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(want uint64) {
+		t.Helper()
+		if s := gw.Stats(); s.BatchesRefused != want {
+			t.Fatalf("BatchesRefused = %d, want %d", s.BatchesRefused, want)
+		}
+	}
+	var be *adasense.BatchError
+	if _, err := sess.Push(nanBatch(t)); !errors.As(err, &be) {
+		t.Fatalf("NaN push = %v, want a *BatchError", err)
+	}
+	refused(1)
+	if _, err := gw.Classify(nanBatch(t)); !errors.As(err, &be) {
+		t.Fatalf("NaN classify = %v, want a *BatchError", err)
+	}
+	refused(2)
+	if _, err := sess.Push(gatewayBatch(t)); err != nil {
+		t.Fatal(err)
+	}
+	wrong := gatewayBatch(t)
+	wrong.Config = adasense.ParetoStates()[3]
+	if _, err := sess.Push(wrong); err == nil || errors.As(err, &be) {
+		t.Fatalf("wrong-config push = %v, want a config mismatch", err)
+	}
+	bare, err := testService(t).OpenSession("bare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.Push(nanBatch(t)); !errors.As(err, &be) {
+		t.Fatalf("bare session NaN push = %v, want a *BatchError", err)
+	}
+	refused(2)
+	if s := gw.Stats(); s.BatchesPushed != 1 {
+		t.Fatalf("BatchesPushed = %d, want 1", s.BatchesPushed)
 	}
 }
 

@@ -81,24 +81,34 @@ func (e *Engine) Config() sensor.Config { return e.window.Config() }
 
 // Push feeds a batch of raw readings sampled under the engine's current
 // configuration and returns the classification events it completed (zero
-// or more, one per elapsed hop). It refuses, before any state changes, a
-// batch that fails sensor.Batch.Validate (a *sensor.BatchError) or one
-// sampled under a different configuration — the caller failed to apply
-// a requested switch.
+// or more, one per elapsed hop) in a fresh slice. It refuses, before any
+// state changes, a batch that fails sensor.Batch.Validate (a
+// *sensor.BatchError) or one sampled under a different configuration —
+// the caller failed to apply a requested switch.
 //
 // If an event switches the configuration, any samples of the same batch
 // beyond that tick are discarded: they were acquired under the old
 // configuration, which a physical sensor cannot retroactively change.
 // Pushing in chunks of at most one hop avoids any loss.
-func (e *Engine) Push(b *sensor.Batch) ([]Event, error) {
+func (e *Engine) Push(b *sensor.Batch) ([]Event, error) { return e.PushAppend(nil, b) }
+
+// PushAppend is Push appending the completed events to dst, which it
+// returns extended (dst itself on error). A caller that reuses dst
+// across pushes allocates nothing per push.
+func (e *Engine) PushAppend(dst []Event, b *sensor.Batch) ([]Event, error) {
 	if err := b.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
+	return e.PushChecked(dst, b)
+}
+
+// PushChecked is PushAppend for a batch the caller has already passed
+// through sensor.Batch.Validate, so the batch is checked once per push.
+func (e *Engine) PushChecked(dst []Event, b *sensor.Batch) ([]Event, error) {
 	if b.Config != e.window.Config() {
-		return nil, fmt.Errorf("core: pushed %s batch while engine expects %s",
+		return dst, fmt.Errorf("core: pushed %s batch while engine expects %s",
 			b.Config.Name(), e.window.Config().Name())
 	}
-	var events []Event
 	offset := 0
 	for offset < b.Len() {
 		take := b.Len() - offset
@@ -128,7 +138,7 @@ func (e *Engine) Push(b *sensor.Batch) ([]Event, error) {
 
 		next := e.controller.Config()
 		changed := next != e.window.Config()
-		events = append(events, Event{Classification: cls, Config: next, ConfigChanged: changed})
+		dst = append(dst, Event{Classification: cls, Config: next, ConfigChanged: changed})
 		if changed {
 			// Remaining samples were acquired under the old
 			// configuration; drop them and wait for data at the new one.
@@ -138,7 +148,7 @@ func (e *Engine) Push(b *sensor.Batch) ([]Event, error) {
 		}
 	}
 	e.chunk = sensor.Batch{} // don't pin the caller's batch between pushes
-	return events, nil
+	return dst, nil
 }
 
 // Reset returns the engine (and its controller) to the initial state.

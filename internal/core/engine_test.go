@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"adasense/internal/rng"
@@ -236,5 +237,44 @@ func TestEngineClassificationsAreSane(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(total); acc < 0.75 {
 		t.Fatalf("engine accuracy = %v", acc)
+	}
+}
+
+// TestEnginePushAppendMatchesPush: PushAppend appends to dst exactly the
+// events a twin engine's Push returns, keeps what dst held, and returns
+// dst unchanged when it refuses a batch.
+func TestEnginePushAppendMatchesPush(t *testing.T) {
+	e, m, s := engineFixture(t, NewBaseline())
+	twin, _, _ := engineFixture(t, NewBaseline())
+	sentinel := Event{Config: sensor.ParetoStates()[3]}
+	dst := []Event{sentinel}
+	for i := 0; i < 6; i++ {
+		t0 := 2.5 * float64(i)
+		b := s.Sample(m, e.Config(), t0, t0+2.5) // two or three ticks per push
+		want, err := twin.Push(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.PushAppend(dst[:1], b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != sentinel || len(got)-1 != len(want) {
+			t.Fatalf("push %d: PushAppend gave %d events after the sentinel, Push %d", i, len(got)-1, len(want))
+		}
+		for k := range want {
+			if got[1+k] != want[k] {
+				t.Fatalf("push %d event %d: PushAppend %+v, Push %+v", i, k, got[1+k], want[k])
+			}
+		}
+		dst = got
+	}
+	bad := s.Sample(m, e.Config(), 20, 21)
+	bad.X[0] = math.NaN()
+	wrong := s.Sample(m, sensor.ParetoStates()[3], 20, 21)
+	for _, b := range []*sensor.Batch{bad, wrong} {
+		if got, err := e.PushAppend(dst[:1], b); err == nil || len(got) != 1 || got[0] != sentinel {
+			t.Fatalf("refused push = %d events, %v; want dst unchanged and an error", len(got), err)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"adasense/internal/dsp"
 	"adasense/internal/sensor"
@@ -31,15 +32,22 @@ import (
 // to 3 Hz at 1 Hz spacing.
 func DefaultBinFreqsHz() []float64 { return []float64{1, 2, 3} }
 
-// Extractor computes feature vectors from sensor batches. It holds only
-// its bin frequencies, so one Extractor is safe for concurrent use.
+// Extractor computes feature vectors from sensor batches. It is
+// immutable after NewExtractor, so one Extractor is safe for concurrent
+// use.
 type Extractor struct {
 	binFreqs []float64
+	// rates are the distinct Table I sampling rates, and coeffs holds
+	// dsp.GoertzelCoeff(binFreqs[k], rates[r]) at r*len(binFreqs)+k.
+	rates  []float64
+	coeffs []float64
 }
 
 // NewExtractor returns an extractor using the given spectral bin
 // frequencies (nil selects DefaultBinFreqsHz). Bin frequencies must be
-// positive.
+// positive. The Goertzel coefficients of every bin are computed here
+// for each Table I sampling rate; Extract computes them for any other
+// rate.
 func NewExtractor(binFreqsHz []float64) (*Extractor, error) {
 	if binFreqsHz == nil {
 		binFreqsHz = DefaultBinFreqsHz()
@@ -49,7 +57,37 @@ func NewExtractor(binFreqsHz []float64) (*Extractor, error) {
 			return nil, fmt.Errorf("features: non-positive bin frequency %v", f)
 		}
 	}
-	return &Extractor{binFreqs: append([]float64(nil), binFreqsHz...)}, nil
+	e := &Extractor{binFreqs: append([]float64(nil), binFreqsHz...)}
+	for _, cfg := range sensor.TableI() {
+		if !slices.Contains(e.rates, cfg.FreqHz) {
+			e.rates = append(e.rates, cfg.FreqHz)
+			for _, f := range e.binFreqs {
+				e.coeffs = append(e.coeffs, dsp.GoertzelCoeff(f, cfg.FreqHz))
+			}
+		}
+	}
+	return e, nil
+}
+
+// coeffsAt returns the precomputed Goertzel coefficients of every bin at
+// sampling rate fs, or nil if fs is not a Table I rate.
+func (e *Extractor) coeffsAt(fs float64) []float64 {
+	k := len(e.binFreqs)
+	for r, rate := range e.rates {
+		if rate == fs {
+			return e.coeffs[r*k : (r+1)*k]
+		}
+	}
+	return nil
+}
+
+// coeff returns bin k's Goertzel coefficient at rate fs: from pre, the
+// coeffsAt result, when there is one.
+func (e *Extractor) coeff(pre []float64, k int, fs float64) float64 {
+	if pre != nil {
+		return pre[k]
+	}
+	return dsp.GoertzelCoeff(e.binFreqs[k], fs)
 }
 
 // MustExtractor is NewExtractor that panics on error.
@@ -139,11 +177,10 @@ func (e *Extractor) Extract(b *sensor.Batch, dst []float64) []float64 {
 	}
 	axes := [3][]float64{xs, ys, zs}
 	means := [3]float64{mx, my, mz}
+	pre := e.coeffsAt(fs)
 	k := 0
 	for ; k+2 < len(e.binFreqs); k += 3 {
-		c0 := dsp.GoertzelCoeff(e.binFreqs[k], fs)
-		c1 := dsp.GoertzelCoeff(e.binFreqs[k+1], fs)
-		c2 := dsp.GoertzelCoeff(e.binFreqs[k+2], fs)
+		c0, c1, c2 := e.coeff(pre, k, fs), e.coeff(pre, k+1, fs), e.coeff(pre, k+2, fs)
 		for ax, samples := range axes {
 			m := means[ax]
 			var a1, a2, b1, b2, d1, d2 float64
@@ -160,7 +197,7 @@ func (e *Extractor) Extract(b *sensor.Batch, dst []float64) []float64 {
 		}
 	}
 	for ; k < len(e.binFreqs); k++ {
-		c := dsp.GoertzelCoeff(e.binFreqs[k], fs)
+		c := e.coeff(pre, k, fs)
 		for ax, samples := range axes {
 			m := means[ax]
 			var s1, s2 float64

@@ -110,6 +110,38 @@ func TestExtractMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExtractCoeffs checks the Goertzel coefficients NewExtractor
+// precomputes for each Table I rate against dsp.GoertzelCoeff bit for
+// bit, and holds Extract to the reference at rates outside Table I,
+// where it computes them on the fly.
+func TestExtractCoeffs(t *testing.T) {
+	skipOffAMD64(t)
+	r := rng.New(7)
+	for _, bins := range referenceBinSets() {
+		e := MustExtractor(bins)
+		for _, cfg := range sensor.TableI() {
+			pre := e.coeffsAt(cfg.FreqHz)
+			if len(pre) != len(bins) {
+				t.Fatalf("%s bins=%v: %d precomputed coefficients", cfg.Name(), bins, len(pre))
+			}
+			for k, f := range bins {
+				if want := dsp.GoertzelCoeff(f, cfg.FreqHz); math.Float64bits(pre[k]) != math.Float64bits(want) {
+					t.Fatalf("%s bin %v Hz: coefficient %v, dsp.GoertzelCoeff %v", cfg.Name(), f, pre[k], want)
+				}
+			}
+		}
+		for _, fs := range []float64{200, 37, 12.25, 3.3} {
+			if e.coeffsAt(fs) != nil {
+				t.Fatalf("%v Hz is not a Table I rate but has precomputed coefficients", fs)
+			}
+			cfg := sensor.Config{FreqHz: fs, AvgWindow: 8}
+			for _, n := range []int{1, 3, cfg.BatchSize(2)} {
+				checkExtractMatches(t, e, randomBatch(r, cfg, n))
+			}
+		}
+	}
+}
+
 // TestExtractDegenerateBatches covers the batches whose features are
 // zeros by guard rather than by arithmetic: an empty batch, and spectral
 // bins without a sampling rate.

@@ -11,7 +11,10 @@
 // recommend. It is not cryptographically secure; it is a simulation PRNG.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random stream.
 //
@@ -46,18 +49,16 @@ func New(seed uint64) *Source {
 	return &r
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
+	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
 	t := r.s[1] << 17
 	r.s[2] ^= r.s[0]
 	r.s[3] ^= r.s[1]
 	r.s[1] ^= r.s[2]
 	r.s[0] ^= r.s[3]
 	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	r.s[3] = bits.RotateLeft64(r.s[3], 45)
 	return result
 }
 
@@ -94,25 +95,11 @@ func (r *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Norm returns a standard normal variate (Marsaglia polar method).

@@ -24,7 +24,7 @@ func benchBatch() *BatchMsg {
 // allocations: building a batch frame into a reused buffer (the device
 // and ack side), validating plus decoding one into a reused BatchMsg
 // (the gateway side), and the streaming Reader's read of the next frame
-// into its reused payload buffer.
+// out of its reused read-ahead buffer.
 func TestStreamFrameAllocs(t *testing.T) {
 	m := benchBatch()
 	var buf []byte
@@ -125,7 +125,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkStreamReaderNext measures the full streaming decode loop —
-// header read, validation, payload+CRC read into the reused buffer.
+// read-ahead into the reused buffer, header validation, payload CRC.
 // Pinned at 0 allocs/op by TestStreamFrameAllocs.
 func BenchmarkStreamReaderNext(b *testing.B) {
 	m := benchBatch()

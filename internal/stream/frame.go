@@ -15,7 +15,7 @@
 // explicit payload length bound-checked before any allocation, and a
 // CRC32 over the payload so truncation and corruption are detected at
 // the frame boundary. The decode path is allocation-free at steady
-// state: Reader reuses one payload buffer across frames, and the
+// state: Reader reuses one read-ahead buffer across frames, and the
 // per-message Decode methods reuse the caller's slices.
 //
 // docs/streaming.md is the normative wire specification; the constants
@@ -301,52 +301,109 @@ func checkHeader(h []byte) (FrameType, uint32, error) {
 	return typ, n, nil
 }
 
-// Reader decodes a sequence of frames from a byte stream, reusing one
-// payload buffer across frames: after warm-up, Next allocates nothing.
-// The returned Frame's payload is valid only until the next call.
-// Reader is not safe for concurrent use.
+// Reader decodes a sequence of frames from a byte stream through one
+// reused buffer that it reads ahead into: one Read takes whatever the
+// stream holds, and Next parses frames out of it, keeping leftover bytes
+// for the next call. A peer writing one frame at a time is served with
+// one Read per frame. After warm-up, Next allocates nothing. The
+// returned Frame's payload is valid only until the next call. Reader is
+// not safe for concurrent use.
 type Reader struct {
-	r      io.Reader
-	header [HeaderLen]byte
-	// buf holds payload+trailer; grown on demand, capped by the
-	// length-bound check at MaxFramePayload+TrailerLen.
-	buf []byte
+	r io.Reader
+	// buf[off:end] holds bytes read but not yet parsed. The buffer grows
+	// only after a header passed the length-bound check, and never past
+	// MaxFramePayload+TrailerLen: a frame's parsed header is dropped
+	// before its payload needs the room.
+	buf      []byte
+	off, end int
+	// inFrame is set once a header is parsed and its payload is still
+	// to come; typ and n are that header's type and payload length.
+	inFrame bool
+	typ     FrameType
+	n       int
+	// err is the last Read's error, held back while the bytes that came
+	// with it still complete frames, then reported once.
+	err error
 }
+
+// minReadBuf is the Reader's first buffer size: room for the small
+// control frames; the first larger frame grows it.
+const minReadBuf = 512
 
 // NewReader returns a Reader decoding frames from r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Next reads and validates the next frame. A clean end of stream at a
-// frame boundary returns io.EOF; a stream ending mid-frame returns
-// io.ErrUnexpectedEOF. The envelope's length field is validated
-// against MaxFramePayload before the payload buffer is sized, so a
-// hostile peer cannot drive allocation beyond that bound.
+// Next returns the next frame. A clean end of stream at a frame boundary
+// returns io.EOF; a stream ending mid-frame returns an ErrFrameTruncated
+// error. The envelope's length field is validated against
+// MaxFramePayload before the buffer is sized, so a hostile peer cannot
+// drive allocation beyond that bound. After any other read error (a
+// deadline, say) Next may be called again and resumes where it stopped.
 func (rd *Reader) Next() (Frame, error) {
-	if _, err := io.ReadFull(rd.r, rd.header[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Frame{}, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+	if !rd.inFrame {
+		if err := rd.fill(HeaderLen); err != nil {
+			if err == io.EOF && rd.off == rd.end {
+				return Frame{}, io.EOF
+			}
+			return Frame{}, truncated(err)
 		}
-		return Frame{}, err
-	}
-	typ, n, err := checkHeader(rd.header[:])
-	if err != nil {
-		return Frame{}, err
-	}
-	need := int(n) + TrailerLen
-	if cap(rd.buf) < need {
-		rd.buf = make([]byte, need)
-	}
-	rd.buf = rd.buf[:need]
-	if _, err := io.ReadFull(rd.r, rd.buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Frame{}, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+		typ, n, err := checkHeader(rd.buf[rd.off:rd.end])
+		if err != nil {
+			return Frame{}, err
 		}
-		return Frame{}, err
+		rd.off += HeaderLen
+		rd.inFrame, rd.typ, rd.n = true, typ, int(n)
 	}
-	payload := rd.buf[:n]
-	want := binary.LittleEndian.Uint32(rd.buf[n:])
+	need := rd.n + TrailerLen
+	if err := rd.fill(need); err != nil {
+		return Frame{}, truncated(err)
+	}
+	rd.inFrame = false
+	frame := rd.buf[rd.off : rd.off+need]
+	rd.off += need
+	payload := frame[:rd.n]
+	want := binary.LittleEndian.Uint32(frame[rd.n:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return Frame{}, fmt.Errorf("%w: got %08x want %08x", ErrBadChecksum, got, want)
 	}
-	return Frame{Type: typ, Payload: payload}, nil
+	return Frame{Type: rd.typ, Payload: payload}, nil
+}
+
+// truncated maps an end of stream inside a frame to ErrFrameTruncated
+// and passes any other read error through.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: %v", ErrFrameTruncated, io.ErrUnexpectedEOF)
+	}
+	return err
+}
+
+// fill reads until buf[off:end] holds at least need bytes, or returns
+// the read error that stopped it. Each Read asks for all the room the
+// buffer has. need never exceeds MaxFramePayload+TrailerLen.
+func (rd *Reader) fill(need int) error {
+	if rd.off == rd.end {
+		rd.off, rd.end = 0, 0
+	}
+	for rd.end-rd.off < need {
+		if err := rd.err; err != nil {
+			rd.err = nil
+			return err
+		}
+		if need > len(rd.buf)-rd.off {
+			buf := rd.buf
+			if need > len(buf) {
+				// Room for the next frame's header too, so a frame
+				// of this size arrives in one read.
+				size := max(need+HeaderLen, 2*len(buf), minReadBuf)
+				buf = make([]byte, min(size, MaxFramePayload+TrailerLen))
+			}
+			rd.end = copy(buf, rd.buf[rd.off:rd.end])
+			rd.buf, rd.off = buf, 0
+		}
+		n, err := rd.r.Read(rd.buf[rd.end:])
+		rd.end += n
+		rd.err = err
+	}
+	return nil
 }

@@ -116,20 +116,28 @@ func TestDecodeFrameErrors(t *testing.T) {
 }
 
 // TestReaderHostileLength proves the length bound is enforced before
-// the payload buffer is sized: a header advertising 4 GiB must be
-// refused without any allocation.
+// the buffer is sized: a header advertising 4 GiB must be refused
+// without growing the buffer, as the first frame of a stream and after
+// a valid frame.
 func TestReaderHostileLength(t *testing.T) {
 	hdr := make([]byte, HeaderLen)
 	copy(hdr, Magic)
 	hdr[4] = Version
 	hdr[5] = byte(FrameBatch)
 	binary.LittleEndian.PutUint32(hdr[8:], 0xFFFFFFFF)
-	rd := NewReader(bytes.NewReader(hdr))
-	if _, err := rd.Next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-	if rd.buf != nil {
-		t.Fatalf("reader allocated %d payload bytes for a refused frame", cap(rd.buf))
+	ping := AppendFrame(nil, FramePing, []byte("ping"))
+	for _, data := range [][]byte{hdr, append(ping, hdr...)} {
+		rd := NewReader(bytes.NewReader(data))
+		_, err := rd.Next()
+		for err == nil {
+			_, err = rd.Next()
+		}
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+		}
+		if cap(rd.buf) > minReadBuf {
+			t.Fatalf("reader grew its buffer to %d bytes for a refused frame", cap(rd.buf))
+		}
 	}
 }
 

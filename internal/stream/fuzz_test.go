@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -132,6 +133,89 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReaderChunking feeds a byte stream to Reader in short reads of
+// 1…256 bytes, each size taken in turn from chunks (1 byte at a time
+// when chunks is empty; the last read returns io.EOF with its bytes).
+// Reader must yield exactly the frames DecodeFrame finds one after
+// another, and then stop: with io.EOF where the stream ends at a frame
+// boundary, otherwise with an error matching the sentinel DecodeFrame
+// stops with. However the reads split the stream, a hostile length never
+// grows the Reader's buffer past MaxFramePayload + TrailerLen.
+//
+// The committed seeds in testdata/fuzz/FuzzReaderChunking cover frames
+// split at every byte, a valid frame followed by an oversized length, a
+// truncated frame, a corrupted CRC and an empty stream.
+func FuzzReaderChunking(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, chunks []byte) {
+		rd := NewReader(&chunkReader{data: data, chunks: chunks})
+		rest := data
+		for i := 0; ; i++ {
+			rf, rerr := rd.Next()
+			if cap(rd.buf) > MaxFramePayload+TrailerLen {
+				t.Fatalf("frame %d: Reader buffer grew to %d bytes", i, cap(rd.buf))
+			}
+			if len(rest) == 0 {
+				if rerr != io.EOF {
+					t.Fatalf("frame %d: Reader gave %v/%v at the end of the stream, want io.EOF", i, rf.Type, rerr)
+				}
+				return
+			}
+			fr, next, err := DecodeFrame(rest)
+			if err != nil {
+				want := frameSentinel(err)
+				if want == nil || !errors.Is(rerr, want) {
+					t.Fatalf("frame %d: DecodeFrame err %v but Reader err %v", i, err, rerr)
+				}
+				return
+			}
+			if rerr != nil {
+				t.Fatalf("frame %d: DecodeFrame decoded %v but Reader err %v", i, fr.Type, rerr)
+			}
+			if rf.Type != fr.Type || !bytes.Equal(rf.Payload, fr.Payload) {
+				t.Fatalf("frame %d: Reader decoded %v/%d bytes, DecodeFrame %v/%d bytes",
+					i, rf.Type, len(rf.Payload), fr.Type, len(fr.Payload))
+			}
+			rest = next
+		}
+	})
+}
+
+// frameSentinel returns the frame decoding error err matches, or nil.
+func frameSentinel(err error) error {
+	for _, s := range []error{ErrFrameTruncated, ErrBadMagic, ErrBadVersion, ErrBadFlags,
+		ErrBadType, ErrFrameTooLarge, ErrBadChecksum} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return nil
+}
+
+// chunkReader serves data in reads of 1 + chunks[i] bytes, cycling
+// through chunks (1 byte per read when chunks is empty). The read that
+// drains data returns io.EOF with its bytes.
+type chunkReader struct {
+	data, chunks []byte
+	i            int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := 1
+	if len(r.chunks) > 0 {
+		n += int(r.chunks[r.i%len(r.chunks)])
+		r.i++
+	}
+	n = copy(p, r.data[:min(n, len(r.data))])
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // pushDecoded pushes m's samples through a fresh session of svc, at the

@@ -346,8 +346,8 @@ func (e *Episode) Eval(t float64) Vec3 {
 //	(1/dt) ∫ a·sin(wt + φ) dt = a·(cos(w t0 + φ) − cos(w t1 + φ)) / (w dt),
 //
 // and cos(wt + φ) = cos(wt)·cos φ − sin(wt)·sin φ, so with a·cos φ and
-// a·sin φ stored per axis each component costs one math.Sincos per
-// endpoint for all three axes:
+// a·sin φ stored per axis each component costs one sincos (math.Sincos,
+// bit for bit) per endpoint for all three axes:
 //
 //	(a·cos φ·(cos w t0 − cos w t1) − a·sin φ·(sin w t0 − sin w t1)) / (w dt).
 //
@@ -369,8 +369,8 @@ func (e *Episode) AvgEval(t0, t1 float64) Vec3 {
 			v[2] += c.ampSin[2]
 			continue
 		}
-		s0, c0 := math.Sincos(w * t0)
-		s1, c1 := math.Sincos(w * t1)
+		s0, c0 := sincos(w * t0)
+		s1, c1 := sincos(w * t1)
 		dc, ds, wdt := c0-c1, s0-s1, w*dt
 		v[0] += (c.ampCos[0]*dc - c.ampSin[0]*ds) / wdt
 		v[1] += (c.ampCos[1]*dc - c.ampSin[1]*ds) / wdt

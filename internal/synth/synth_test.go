@@ -84,6 +84,40 @@ func TestAvgEvalMatchesNumericalIntegration(t *testing.T) {
 	}
 }
 
+// TestSincosMatchesMath holds sincos to math.Sincos bit for bit: on
+// arguments of both signs spread log-uniformly over [1e-3, 1e6], on
+// arguments next to multiples of π/4 (the octant boundaries), and on
+// the special and threshold cases.
+func TestSincosMatchesMath(t *testing.T) {
+	check := func(x float64) {
+		s, c := sincos(x)
+		ws, wc := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(c) != math.Float64bits(wc) {
+			t.Fatalf("sincos(%v) = %v, %v; math.Sincos %v, %v", x, s, c, ws, wc)
+		}
+	}
+	r := rng.New(29)
+	for i := 0; i < 1<<20; i++ {
+		x := math.Pow(10, -3+9*r.Float64())
+		check(x)
+		check(-x)
+	}
+	for k := 1; k < 1<<12; k++ {
+		x := float64(k) * math.Pi / 4
+		check(x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, math.Inf(1)))
+		check(-x)
+	}
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-300, 0.5, 1,
+		1 << 29, math.Nextafter(1<<29, 0), -(1 << 29), 1e12, -1e300, math.MaxFloat64,
+	} {
+		check(x)
+	}
+}
+
 // avgEvalCosines is AvgEval's direct form, kept as its reference: six
 // math.Cos calls per component, one per axis and endpoint.
 func avgEvalCosines(e *Episode, t0, t1 float64) Vec3 {
@@ -400,3 +434,33 @@ func BenchmarkEpisodeAvgEval(b *testing.B) {
 		avgEvalSink = ep.AvgEval(t-window, t)
 	}
 }
+
+// BenchmarkSincos compares sincos with math.Sincos on the phases
+// AvgEval evaluates: w·t for gait-band frequencies over an hour.
+func BenchmarkSincos(b *testing.B) {
+	r := rng.New(3)
+	xs := make([]float64, 1<<16)
+	for i := range xs {
+		xs[i] = 2 * math.Pi * (0.5 + 3*r.Float64()) * 3600 * r.Float64()
+	}
+	b.Run("sincos", func(b *testing.B) {
+		var ss, cs float64
+		for i := 0; i < b.N; i++ {
+			s, c := sincos(xs[i%len(xs)])
+			ss += s
+			cs += c
+		}
+		sink = ss + cs
+	})
+	b.Run("math", func(b *testing.B) {
+		var ss, cs float64
+		for i := 0; i < b.N; i++ {
+			s, c := math.Sincos(xs[i%len(xs)])
+			ss += s
+			cs += c
+		}
+		sink = ss + cs
+	})
+}
+
+var sink float64

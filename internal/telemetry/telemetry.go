@@ -26,11 +26,14 @@ type Counters struct {
 	SessionsClosed  atomic.Uint64
 	SessionsEvicted atomic.Uint64
 
-	// Data path: batches accepted by a session, the classification
-	// events they completed, and stateless one-shot classifications.
-	BatchesPushed atomic.Uint64
-	EventsEmitted atomic.Uint64
-	ClassifyCalls atomic.Uint64
+	// Data path: batches accepted by a session, batches refused by the
+	// gateway's batch check (pushed or classified), the classification
+	// events accepted batches completed, and stateless one-shot
+	// classifications.
+	BatchesPushed  atomic.Uint64
+	BatchesRefused atomic.Uint64
+	EventsEmitted  atomic.Uint64
+	ClassifyCalls  atomic.Uint64
 
 	// Pipeline checkouts served from the pool or built fresh, and atomic
 	// model hot-swaps.
@@ -89,6 +92,7 @@ type Snapshot struct {
 	SessionsClosed  uint64 `json:"sessions_closed"`
 	SessionsEvicted uint64 `json:"sessions_evicted"`
 	BatchesPushed   uint64 `json:"batches_pushed"`
+	BatchesRefused  uint64 `json:"batches_refused"`
 	EventsEmitted   uint64 `json:"events_emitted"`
 	ClassifyCalls   uint64 `json:"classify_calls"`
 	PoolHits        uint64 `json:"pool_hits"`
@@ -126,6 +130,7 @@ func (c *Counters) Snapshot() Snapshot {
 		SessionsClosed:  c.SessionsClosed.Load(),
 		SessionsEvicted: c.SessionsEvicted.Load(),
 		BatchesPushed:   c.BatchesPushed.Load(),
+		BatchesRefused:  c.BatchesRefused.Load(),
 		EventsEmitted:   c.EventsEmitted.Load(),
 		ClassifyCalls:   c.ClassifyCalls.Load(),
 		PoolHits:        c.PoolHits.Load(),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"adasense/internal/core"
+	"adasense/internal/features"
 	"adasense/internal/rng"
 	"adasense/internal/sensor"
 	"adasense/internal/sim"
@@ -94,6 +95,9 @@ type Service struct {
 	cfg serviceConfig
 
 	pipes sync.Pool // *Pipeline, all over sys's shared network
+	// ext is the one feature extractor every pipeline shares: it is
+	// immutable, and its Goertzel coefficient tables are built once.
+	ext *features.Extractor
 
 	// tel counts the service's data path (classify calls, batches,
 	// events, pool hits/misses). Always non-nil; a Gateway replaces it
@@ -136,7 +140,7 @@ func NewService(sys *System, opts ...Option) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc := &Service{sys: sys, cfg: cfg, tel: &telemetry.Counters{}}
+	svc := &Service{sys: sys, cfg: cfg, ext: p.Extractor(), tel: &telemetry.Counters{}}
 	svc.pipes.Put(p)
 	return svc, nil
 }
@@ -159,7 +163,7 @@ func (svc *Service) acquire() (*Pipeline, error) {
 		return p, nil
 	}
 	svc.tel.PoolMisses.Add(1)
-	p, err := svc.sys.NewPipeline()
+	p, err := core.NewPipeline(svc.sys.Network, svc.ext)
 	if err != nil {
 		return nil, fmt.Errorf("adasense: building pipeline for shared classifier: %w", err)
 	}
@@ -194,6 +198,12 @@ func (svc *Service) Classify(b *Batch) (Classification, error) {
 	if err := b.Validate(); err != nil {
 		return Classification{}, err
 	}
+	return svc.classifyChecked(b)
+}
+
+// classifyChecked is Classify for a batch that already passed
+// Batch.Validate.
+func (svc *Service) classifyChecked(b *Batch) (Classification, error) {
 	p, err := svc.acquire()
 	if err != nil {
 		return Classification{}, err
@@ -246,16 +256,33 @@ func (s *Session) ID() string { return s.id }
 func (s *Session) Config() Config { return s.engine.Config() }
 
 // Push feeds a batch of raw readings sampled under the session's current
-// configuration and returns the classification events it completed. See
-// Engine.Push for the switch-and-discard semantics on configuration
-// changes.
-func (s *Session) Push(b *Batch) ([]Event, error) {
+// configuration and returns the classification events it completed in a
+// fresh slice. See Engine.Push for the switch-and-discard semantics on
+// configuration changes.
+func (s *Session) Push(b *Batch) ([]Event, error) { return s.PushAppend(nil, b) }
+
+// PushAppend is Push appending the completed events to dst, which it
+// returns extended (dst itself on error). A caller that reuses dst
+// across pushes allocates nothing per push.
+func (s *Session) PushAppend(dst []Event, b *Batch) ([]Event, error) {
 	if s.closed {
-		return nil, fmt.Errorf("adasense: session %q is closed", s.id)
+		return dst, fmt.Errorf("adasense: session %q is closed", s.id)
 	}
-	events, err := s.engine.Push(b)
+	if err := b.Validate(); err != nil {
+		return dst, err
+	}
+	return s.pushChecked(dst, b)
+}
+
+// pushChecked is PushAppend after its two checks, for a caller that
+// made them itself: GatewaySession.PushAppend checks the batch and its
+// own closed flag under its lock, and an open GatewaySession always
+// holds an open Session.
+func (s *Session) pushChecked(dst []Event, b *Batch) ([]Event, error) {
+	n := len(dst)
+	dst, err := s.engine.PushChecked(dst, b)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	// The device sampled every reading in the batch at b.Config even
 	// when a mid-batch switch discards the tail, so the whole duration
@@ -263,10 +290,10 @@ func (s *Session) Push(b *Batch) ([]Event, error) {
 	s.elapsedSec += b.Duration()
 	s.chargeUC += sensor.DefaultPowerModel().ChargeUC(b.Config, b.Duration())
 	s.svc.tel.BatchesPushed.Add(1)
-	if len(events) > 0 {
-		s.svc.tel.EventsEmitted.Add(uint64(len(events)))
+	if len(dst) > n {
+		s.svc.tel.EventsEmitted.Add(uint64(len(dst) - n))
 	}
-	return events, nil
+	return dst, nil
 }
 
 // EnergyEstimate is a session's accumulated sensing-energy estimate:
