@@ -129,6 +129,39 @@ func (n *Network) ForwardInto(x, hidden, probs []float64) {
 	}
 }
 
+// affine writes out[j] = b[j] + Σ_i w[j·len(x)+i]·x[i] for every row j
+// of the row-major matrix w. It accumulates four rows per pass over x so
+// their independent sums overlap in the pipeline, then finishes the rows
+// left over one at a time. Each sum starts from its bias and adds its
+// products in input order, so out is that of a one-row-at-a-time loop,
+// bit for bit.
+func affine(w, b, x, out []float64) {
+	in := len(x)
+	j := 0
+	for ; j+3 < len(out); j += 4 {
+		r0 := w[j*in : (j+1)*in]
+		r1 := w[(j+1)*in : (j+2)*in]
+		r2 := w[(j+2)*in : (j+3)*in]
+		r3 := w[(j+3)*in : (j+4)*in]
+		r0, r1, r2, r3 = r0[:in], r1[:in], r2[:in], r3[:in] // lengths the compiler can see: no bounds checks below
+		s0, s1, s2, s3 := b[j], b[j+1], b[j+2], b[j+3]
+		for i, v := range x {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(out); j++ {
+		s := b[j]
+		for i, v := range w[j*in : (j+1)*in] {
+			s += v * x[i]
+		}
+		out[j] = s
+	}
+}
+
 // Forward returns the class probability vector for input x, writing into
 // probs when it has capacity Out. len(x) must equal In. It allocates the
 // hidden activations; ForwardInto takes them from the caller.
@@ -145,13 +178,20 @@ func (n *Network) Forward(x, probs []float64) []float64 {
 // of that class — the quantity SPOT-with-confidence thresholds on.
 func (n *Network) Predict(x []float64) (class int, confidence float64) {
 	probs := n.Forward(x, nil)
-	class = 0
+	class = argmax(probs)
+	return class, probs[class]
+}
+
+// argmax returns the index of the largest probability, the first one on
+// a tie.
+func argmax(probs []float64) int {
+	class := 0
 	for o, p := range probs {
 		if p > probs[class] {
 			class = o
 		}
 	}
-	return class, probs[class]
+	return class
 }
 
 // Clone returns a deep copy of the network.

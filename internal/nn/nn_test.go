@@ -264,6 +264,52 @@ func TestAccuracyEmpty(t *testing.T) {
 	}
 }
 
+// TestAccuracyAllocs pins Accuracy's allocations to its two buffers:
+// scoring 30 times as many inputs allocates no more.
+func TestAccuracyAllocs(t *testing.T) {
+	r := rng.New(37)
+	X, Y := twoBlobs(r, 600)
+	net := New(2, 8, 2, r.Split(1))
+	small := testing.AllocsPerRun(20, func() { Accuracy(net, X[:20], Y[:20]) })
+	large := testing.AllocsPerRun(20, func() { Accuracy(net, X, Y) })
+	if small > 2 || large != small {
+		t.Fatalf("Accuracy allocates %v times over 20 inputs and %v over 600; want at most 2 for both", small, large)
+	}
+}
+
+// TestAccuracyMatchesPredict scores a corpus with Accuracy and with
+// Predict one input at a time, including an input whose probabilities
+// tie, where the first class wins.
+func TestAccuracyMatchesPredict(t *testing.T) {
+	r := rng.New(41)
+	X, Y := rings(r, 300)
+	net := New(2, 8, 3, r.Split(1))
+	if _, err := Train(net, X, Y, TrainConfig{Epochs: 3}, r.Split(2)); err != nil {
+		t.Fatal(err)
+	}
+	tie := New(2, 4, 3, r.Split(3))
+	clear(tie.W2)
+	clear(tie.B2)
+	for _, c := range []struct {
+		net *Network
+		X   [][]float64
+		Y   []int
+	}{{net, X, Y}, {tie, X[:3], []int{0, 1, 2}}} {
+		correct := 0
+		for i, x := range c.X {
+			if cls, _ := c.net.Predict(x); cls == c.Y[i] {
+				correct++
+			}
+		}
+		if got, want := Accuracy(c.net, c.X, c.Y), float64(correct)/float64(len(c.X)); got != want {
+			t.Fatalf("Accuracy = %v, Predict scores %v", got, want)
+		}
+	}
+	if cls, _ := tie.Predict(X[0]); cls != 0 {
+		t.Fatalf("Predict on a three-way tie = class %d, want 0", cls)
+	}
+}
+
 func BenchmarkPredict(b *testing.B) {
 	net := New(15, 32, 6, rng.New(1))
 	x := make([]float64, 15)

@@ -9,11 +9,17 @@ import (
 )
 
 // trainReference is Train written the plain way: one hidden unit and one
-// logit at a time, a branching ReLU and a branching backward gate. Train
-// must match it bit for bit.
+// logit at a time, a branching ReLU, a branching backward gate and a
+// one-parameter-at-a-time Adam step. Train must match it bit for bit.
 func trainReference(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source) TrainResult {
-	cfg = cfg.withDefaults()
 	setStandardization(net, X)
+	return fitReference(net, X, Y, cfg, r)
+}
+
+// fitReference is trainReference after the standardization: it
+// standardizes X with the network's MeanIn and StdIn as it goes.
+func fitReference(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source) TrainResult {
+	cfg = cfg.withDefaults()
 	gW1 := make([]float64, len(net.W1))
 	gB1 := make([]float64, len(net.B1))
 	gW2 := make([]float64, len(net.W2))
@@ -113,14 +119,31 @@ func trainReference(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rn
 			}
 			inv := 1 / float64(len(batch))
 			step++
-			adamUpdate(net.W1, gW1, aW1, cfg, inv, step, true)
-			adamUpdate(net.B1, gB1, aB1, cfg, inv, step, false)
-			adamUpdate(net.W2, gW2, aW2, cfg, inv, step, true)
-			adamUpdate(net.B2, gB2, aB2, cfg, inv, step, false)
+			adamReference(net.W1, gW1, aW1, cfg, inv, step, true)
+			adamReference(net.B1, gB1, aB1, cfg, inv, step, false)
+			adamReference(net.W2, gW2, aW2, cfg, inv, step, true)
+			adamReference(net.B2, gB2, aB2, cfg, inv, step, false)
 		}
 		res.EpochLoss = append(res.EpochLoss, epochLoss/float64(len(X)))
 	}
 	return res
+}
+
+// adamReference is adamUpdate one parameter at a time.
+func adamReference(params, g []float64, st adamState, cfg TrainConfig, inv float64, step int, decay bool) {
+	c1 := 1 - math.Pow(cfg.Beta1, float64(step))
+	c2 := 1 - math.Pow(cfg.Beta2, float64(step))
+	for i := range params {
+		grad := g[i] * inv
+		if decay {
+			grad += cfg.L2 * params[i]
+		}
+		st.m[i] = cfg.Beta1*st.m[i] + (1-cfg.Beta1)*grad
+		st.v[i] = cfg.Beta2*st.v[i] + (1-cfg.Beta2)*grad*grad
+		mHat := st.m[i] / c1
+		vHat := st.v[i] / c2
+		params[i] -= cfg.LR * mHat / (math.Sqrt(vHat) + 1e-8)
+	}
 }
 
 // sameBits reports the first index where a and b differ bit for bit.
@@ -146,7 +169,13 @@ func checkAgainstReference(t *testing.T, net *Network, X [][]float64, Y []int, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := trainReference(ref, X, Y, cfg, rng.New(7))
+	requireSameTraining(t, net, ref, res, trainReference(ref, X, Y, cfg, rng.New(7)))
+}
+
+// requireSameTraining requires net and ref, and their training results,
+// to match bit for bit.
+func requireSameTraining(t *testing.T, net, ref *Network, res, want TrainResult) {
+	t.Helper()
 	for _, c := range []struct {
 		name      string
 		got, want []float64
@@ -236,6 +265,42 @@ func TestTrainMatchesReferenceNaN(t *testing.T) {
 	X[3][2] = math.NaN()
 	net := New(15, 5, 6, r.Split(1))
 	checkAgainstReference(t, net, X, Y, TrainConfig{Epochs: 2, BatchSize: 16})
+}
+
+// TestTrainMatchesReferenceInf covers infinite standardized inputs. A
+// corpus standardization cannot produce one (a z-score is bounded by the
+// square root of the corpus size), so the test keeps the identity
+// standardization New installs and fits directly. Units whose sum is
+// −Inf are gated off while their input is infinite, and such a unit must
+// add nothing to its gradient row, where 0·Inf would add NaN. The
+// infinite inputs turn the logits, and from the next step on every unit
+// that passes the gate, into NaN, so the fit is one step over the whole
+// corpus: after it, the rows of the units gated off in both infinite
+// inputs are still finite.
+func TestTrainMatchesReferenceInf(t *testing.T) {
+	skipOffAMD64(t)
+	r := rng.New(6)
+	X, Y := scaledCorpus(r, 64, 15, 6)
+	X[5][3] = math.Inf(1)
+	X[40][7] = math.Inf(-1)
+	net := New(15, 33, 6, r.Split(1))
+	ref := net.Clone()
+	cfg := TrainConfig{Epochs: 1, BatchSize: len(X)}.withDefaults()
+	res := fit(net, standardize(net, X), Y, cfg, rng.New(7))
+	want := fitReference(ref, X, Y, cfg, rng.New(7))
+	requireSameTraining(t, net, ref, res, want)
+
+	var finite, nan int
+	for _, w := range ref.W1 {
+		if math.IsNaN(w) {
+			nan++
+		} else {
+			finite++
+		}
+	}
+	if finite == 0 || nan == 0 {
+		t.Fatalf("%d first-layer weights stayed finite and %d became NaN; want some of each", finite, nan)
+	}
 }
 
 func TestReLUBits(t *testing.T) {

@@ -64,14 +64,15 @@ func newAdamState(n int) adamState {
 // whole procedure is deterministic given (network init, r).
 //
 // The result is pinned bit for bit, on amd64, to a plain one-unit-at-a-time
-// loop (trainReference in the tests), so the kernels below keep three
-// invariants:
+// loop (trainReference in the tests), so the kernels it runs on
+// (kernels.go) keep three invariants:
 //   - every dot product starts from its bias (or from zero) and adds its
 //     products in index order, with no reassociation or fused multiply-add;
 //   - ReLU maps a negative sum to +0 and passes −0 and NaN through
 //     unchanged;
 //   - a hidden unit back-propagates unless its activation is <= 0, so a
-//     NaN unit still contributes its gradient.
+//     NaN unit still contributes its gradient, and a unit that does not
+//     back-propagates adds nothing, not 0·x.
 func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source) (TrainResult, error) {
 	if len(X) == 0 || len(X) != len(Y) {
 		return TrainResult{}, fmt.Errorf("nn: bad corpus (%d inputs, %d labels)", len(X), len(Y))
@@ -87,10 +88,13 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 	if cfg.LabelSmoothing < 0 || cfg.LabelSmoothing >= 1 {
 		return TrainResult{}, fmt.Errorf("nn: label smoothing %v outside [0,1)", cfg.LabelSmoothing)
 	}
-	cfg = cfg.withDefaults()
 	setStandardization(net, X)
-	xs := standardize(net, X)
+	return fit(net, standardize(net, X), Y, cfg.withDefaults(), r), nil
+}
 
+// fit trains net on the standardized corpus xs (row k at
+// [k·In, (k+1)·In)) with labels Y.
+func fit(net *Network, xs []float64, Y []int, cfg TrainConfig, r *rng.Source) TrainResult {
 	g := newGradients(net, cfg.LabelSmoothing)
 	aW1 := newAdamState(len(net.W1))
 	aB1 := newAdamState(len(net.B1))
@@ -98,7 +102,7 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 	aB2 := newAdamState(len(net.B2))
 
 	var res TrainResult
-	order := make([]int, len(X))
+	order := make([]int, len(Y))
 	for i := range order {
 		order[i] = i
 	}
@@ -125,10 +129,11 @@ func Train(net *Network, X [][]float64, Y []int, cfg TrainConfig, r *rng.Source)
 			adamUpdate(net.B1, g.B1, aB1, cfg, inv, step, false)
 			adamUpdate(net.W2, g.W2, aW2, cfg, inv, step, true)
 			adamUpdate(net.B2, g.B2, aB2, cfg, inv, step, false)
+			g.transposeWeights()
 		}
-		res.EpochLoss = append(res.EpochLoss, epochLoss/float64(len(X)))
+		res.EpochLoss = append(res.EpochLoss, epochLoss/float64(len(Y)))
 	}
-	return res, nil
+	return res
 }
 
 // gradients accumulates one mini-batch's cross-entropy gradient, one
@@ -137,6 +142,7 @@ type gradients struct {
 	net            *Network
 	smooth         float64
 	W1, B1, W2, B2 []float64 // batch sums, shaped like the network's
+	w1T, w2T       []float64 // the network's W1 and W2 stored input-major, for affineT
 	hidden         []float64 // ReLU activations
 	dHidden        []float64 // loss gradient w.r.t. the activations
 	active         []int     // indices of the units the ReLU lets through
@@ -144,17 +150,38 @@ type gradients struct {
 }
 
 func newGradients(net *Network, smooth float64) *gradients {
-	return &gradients{
+	g := &gradients{
 		net:     net,
 		smooth:  smooth,
 		W1:      make([]float64, len(net.W1)),
 		B1:      make([]float64, len(net.B1)),
 		W2:      make([]float64, len(net.W2)),
 		B2:      make([]float64, len(net.B2)),
+		w1T:     make([]float64, len(net.W1)),
+		w2T:     make([]float64, len(net.W2)),
 		hidden:  make([]float64, net.Hidden),
 		dHidden: make([]float64, net.Hidden),
 		active:  make([]int, net.Hidden),
 		dLogit:  make([]float64, net.Out),
+	}
+	g.transposeWeights()
+	return g
+}
+
+// transposeWeights copies the network's current weights into w1T and
+// w2T.
+func (g *gradients) transposeWeights() {
+	transpose(g.w1T, g.net.W1, g.net.Hidden, g.net.In)
+	transpose(g.w2T, g.net.W2, g.net.Out, g.net.Hidden)
+}
+
+// transpose writes the rows×cols row-major matrix src into dst as
+// cols×rows.
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
 	}
 }
 
@@ -162,11 +189,21 @@ func newGradients(net *Network, smooth float64) *gradients {
 // back, adds its gradient to the batch sums and returns its loss.
 func (g *gradients) accumulate(xStd []float64, y int) float64 {
 	net, hidden, dLogit := g.net, g.hidden, g.dLogit
-	affine(net.W1, net.B1, xStd, hidden)
+	affineT(g.w1T, net.B1, xStd, hidden)
+	// The ReLU, and the list of the units its gate lets through, built
+	// without a branch since their signs are unpredictable. !(a <= 0)
+	// rather than a > 0 keeps a NaN unit in the list.
+	active := g.active[:len(hidden)]
+	n := 0
 	for h, s := range hidden {
-		hidden[h] = relu(s)
+		a := relu(s)
+		hidden[h] = a
+		active[n] = h
+		if !(a <= 0) {
+			n++
+		}
 	}
-	affine(net.W2, net.B2, hidden, dLogit)
+	affineT(g.w2T, net.B2, hidden, dLogit)
 	maxLogit := math.Inf(-1)
 	for _, l := range dLogit {
 		if l > maxLogit {
@@ -189,95 +226,18 @@ func (g *gradients) accumulate(xStd []float64, y int) float64 {
 
 	// Backward: dLogit = probs - target, where target is the (possibly
 	// smoothed) label distribution.
-	dHidden := g.dHidden[:len(hidden)]
-	zero(dHidden)
+	uniform := g.smooth / float64(net.Out)
 	for o := range dLogit {
-		target := g.smooth / float64(net.Out)
+		target := uniform
 		if o == y {
 			target += 1 - g.smooth
 		}
-		d := dLogit[o] - target
-		g.B2[o] += d
-		row := net.W2[o*net.Hidden : (o+1)*net.Hidden]
-		gRow := g.W2[o*net.Hidden : (o+1)*net.Hidden]
-		row, gRow = row[:len(hidden)], gRow[:len(hidden)] // no bounds checks below
-		for h, a := range hidden {
-			gRow[h] += d * a
-			dHidden[h] += d * row[h]
-		}
+		dLogit[o] -= target
+		g.B2[o] += dLogit[o]
 	}
-
-	// The ReLU gate: list the units it lets through without a branch,
-	// since their signs are unpredictable. !(a <= 0) rather than a > 0
-	// keeps a NaN unit in the list.
-	n := 0
-	for h, a := range hidden {
-		g.active[n] = h
-		if !(a <= 0) {
-			n++
-		}
-	}
-	// Two units per pass share each load of the input; then the one left
-	// over.
-	active := g.active[:n]
-	k := 0
-	for ; k+1 < len(active); k += 2 {
-		h0, h1 := active[k], active[k+1]
-		d0, d1 := dHidden[h0], dHidden[h1]
-		g.B1[h0] += d0
-		g.B1[h1] += d1
-		r0 := g.W1[h0*net.In : (h0+1)*net.In]
-		r1 := g.W1[h1*net.In : (h1+1)*net.In]
-		r0, r1 = r0[:len(xStd)], r1[:len(xStd)]
-		for i, x := range xStd {
-			r0[i] += d0 * x
-			r1[i] += d1 * x
-		}
-	}
-	if k < len(active) {
-		h := active[k]
-		d := dHidden[h]
-		g.B1[h] += d
-		gRow := g.W1[h*net.In : (h+1)*net.In]
-		gRow = gRow[:len(xStd)]
-		for i, x := range xStd {
-			gRow[i] += d * x
-		}
-	}
+	backOutput(dLogit, hidden, net.W2, g.W2, g.dHidden)
+	backHidden(active[:n], g.dHidden, xStd, g.B1, g.W1)
 	return loss
-}
-
-// affine writes out[j] = b[j] + Σ_i w[j·len(x)+i]·x[i] for every row j
-// of the row-major matrix w. It accumulates four rows per pass over x so
-// their independent sums overlap in the pipeline, then finishes the rows
-// left over one at a time. Each sum starts from its bias and adds its
-// products in input order, so out is that of a one-row-at-a-time loop,
-// bit for bit.
-func affine(w, b, x, out []float64) {
-	in := len(x)
-	j := 0
-	for ; j+3 < len(out); j += 4 {
-		r0 := w[j*in : (j+1)*in]
-		r1 := w[(j+1)*in : (j+2)*in]
-		r2 := w[(j+2)*in : (j+3)*in]
-		r3 := w[(j+3)*in : (j+4)*in]
-		r0, r1, r2, r3 = r0[:in], r1[:in], r2[:in], r3[:in] // lengths the compiler can see: no bounds checks below
-		s0, s1, s2, s3 := b[j], b[j+1], b[j+2], b[j+3]
-		for i, v := range x {
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
-		}
-		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
-	}
-	for ; j < len(out); j++ {
-		s := b[j]
-		for i, v := range w[j*in : (j+1)*in] {
-			s += v * x[i]
-		}
-		out[j] = s
-	}
 }
 
 // relu clamps negative sums to +0 and passes the rest, −0 and NaN
@@ -296,19 +256,17 @@ func relu(s float64) float64 {
 // gradients g (scaled by inv = 1/batchSize). Weight decay applies only to
 // weights, not biases.
 func adamUpdate(params, g []float64, st adamState, cfg TrainConfig, inv float64, step int, decay bool) {
-	c1 := 1 - math.Pow(cfg.Beta1, float64(step))
-	c2 := 1 - math.Pow(cfg.Beta2, float64(step))
-	for i := range params {
-		grad := g[i] * inv
-		if decay {
-			grad += cfg.L2 * params[i]
-		}
-		st.m[i] = cfg.Beta1*st.m[i] + (1-cfg.Beta1)*grad
-		st.v[i] = cfg.Beta2*st.v[i] + (1-cfg.Beta2)*grad*grad
-		mHat := st.m[i] / c1
-		vHat := st.v[i] / c2
-		params[i] -= cfg.LR * mHat / (math.Sqrt(vHat) + 1e-8)
+	k := adamConsts{
+		inv:   inv,
+		l2:    cfg.L2,
+		beta1: cfg.Beta1, om1: 1 - cfg.Beta1,
+		beta2: cfg.Beta2, om2: 1 - cfg.Beta2,
+		c1:  1 - math.Pow(cfg.Beta1, float64(step)),
+		c2:  1 - math.Pow(cfg.Beta2, float64(step)),
+		lr:  cfg.LR,
+		eps: 1e-8,
 	}
+	adamStep(params, g, st.m, st.v, &k, decay)
 }
 
 func zero(x []float64) {
@@ -361,14 +319,16 @@ func standardize(net *Network, X [][]float64) []float64 {
 }
 
 // Accuracy returns the fraction of inputs whose Predict class matches the
-// label.
+// label. It runs every input through one pair of buffers.
 func Accuracy(net *Network, X [][]float64, Y []int) float64 {
 	if len(X) == 0 {
 		return 0
 	}
+	hidden, probs := make([]float64, net.Hidden), make([]float64, net.Out)
 	correct := 0
 	for i, x := range X {
-		if c, _ := net.Predict(x); c == Y[i] {
+		net.ForwardInto(x, hidden, probs)
+		if argmax(probs) == Y[i] {
 			correct++
 		}
 	}
